@@ -1,6 +1,6 @@
-// Micro-benchmarks (google-benchmark) for the hot components: event
-// queue, min-cost-flow planner, placement construction, coverage
-// queries, battery stepping and the solar model.
+// Micro-benchmarks (google-benchmark) for the hot components: the
+// min-cost-flow planner, placement construction, coverage queries,
+// battery stepping and the solar model.
 //
 // `--json=<path>` (stripped before benchmark::Initialize sees argv)
 // appends one BenchRecord per benchmark — real time plus every user
@@ -19,7 +19,6 @@
 #include "energy/battery.hpp"
 #include "energy/solar.hpp"
 #include "obs/recorder.hpp"
-#include "sim/simulator.hpp"
 #include "storage/cluster.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -27,21 +26,6 @@
 namespace {
 
 using namespace gm;
-
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  for (auto _ : state) {
-    sim::Simulator sim;
-    for (std::size_t i = 0; i < n; ++i)
-      sim.schedule_at(static_cast<SimTime>(rng.uniform_u64(1'000'000)),
-                      [] {});
-    sim.run();
-    benchmark::DoNotOptimize(sim.events_executed());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
 
 void BM_MinCostFlowAssignment(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));
@@ -147,8 +131,7 @@ BENCHMARK(BM_GreenMatchPlanDay)->Unit(benchmark::kMillisecond);
 // regime while the planner's pool deepens with the fleet. Arg(1) is
 // the 1,280-node smoke tier the ctest suite runs; Arg(8) is the
 // 10,240-node week the PR5 acceptance numbers quote; Arg(80) is the
-// 102,400-node colossal week the PR8 incremental cost-scaling A/B
-// (BENCH_PR8.json) quotes.
+// 102,400-node colossal week (BENCH_PR8.json).
 core::ExperimentConfig massive_fleet_config(int scale) {
   auto config = core::ExperimentConfig::canonical();
   config.cluster.racks = 16 * scale;
@@ -181,43 +164,6 @@ void BM_GreenMatchPlanWeek(benchmark::State& state) {
       plan_ms / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_GreenMatchPlanWeek)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(80)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// The same scale ladder through the cost-scaling solver with
-// incremental re-optimization (PolicyConfig::cost_scaling_planner).
-// plan_ms_per_run is directly comparable against BM_GreenMatchPlanWeek
-// at the same Arg; the incremental counters show how many slot replans
-// rode the residual-graph patch path vs fell back to a cold build —
-// the PR8 sub-100ms median-slot-replan criterion is
-// plan_ms_per_run / 168 slots on this benchmark at Arg(80).
-void BM_GreenMatchPlanWeekCostScaling(benchmark::State& state) {
-  auto config = massive_fleet_config(static_cast<int>(state.range(0)));
-  config.policy.cost_scaling_planner = true;
-  gm::bench::use_shared_workload(config);
-  double plan_ms = 0.0;
-  double accepts = 0.0, rebuilds = 0.0;
-  for (auto _ : state) {
-    const auto r = core::run_experiment(config).result;
-    plan_ms += r.scheduler.plan_solve_ms_total;
-    accepts +=
-        static_cast<double>(r.scheduler.solver_incremental_accepts);
-    rebuilds +=
-        static_cast<double>(r.scheduler.solver_incremental_rebuilds);
-    benchmark::DoNotOptimize(r.scheduler.plan_solve_ms_total);
-  }
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["plan_ms_per_run"] =
-      benchmark::Counter(plan_ms / iters);
-  state.counters["incremental_accepts_per_run"] =
-      benchmark::Counter(accepts / iters);
-  state.counters["incremental_rebuilds_per_run"] =
-      benchmark::Counter(rebuilds / iters);
-}
-BENCHMARK(BM_GreenMatchPlanWeekCostScaling)
     ->Arg(1)
     ->Arg(8)
     ->Arg(80)

@@ -94,6 +94,17 @@ SimulationEngine::SimulationEngine(const ExperimentConfig& config,
       router_(cluster_, storage::RouterConfig{}),
       slots_(config.slot_length_s) {
   config_.validate();
+  // route_requests replays requests in vector order, so a preset
+  // workload must arrive sorted (read_trace and generate_workload both
+  // sort).
+  GM_CHECK(!config.preset_workload ||
+               std::is_sorted(workload_->requests.begin(),
+                              workload_->requests.end(),
+                              [](const storage::IoRequest& a,
+                                 const storage::IoRequest& b) {
+                                return a.arrival < b.arrival;
+                              }),
+           "preset workload requests must be sorted by arrival");
 
   facts_.total_nodes = static_cast<int>(cluster_.node_count());
   facts_.min_nodes_for_coverage = power_.min_feasible();
@@ -510,11 +521,8 @@ void SimulationEngine::route_requests(SlotIndex slot, SimTime start,
          workload_->requests[next_request_index_].arrival < end) {
     const auto& req = workload_->requests[next_request_index_++];
     GM_ASSERT(req.arrival >= start);
-    simulator_.schedule_at(req.arrival, [this, &req, &waker] {
-      router_.route(req, simulator_.now(), waker);
-    });
+    router_.route(req, req.arrival, waker);
   }
-  simulator_.run_until(end);
 }
 
 SlotIndex SimulationEngine::total_slots() const {
@@ -982,13 +990,6 @@ RunArtifacts SimulationEngine::finalize() {
     r.scheduler.solver_relaxations = totals.dijkstra_relaxations;
     r.scheduler.solver_augmenting_paths = totals.augmenting_paths;
     r.scheduler.solver_arena_bytes_peak = totals.arena_bytes_peak;
-    r.scheduler.solver_cs_phases = totals.cs_phases;
-    r.scheduler.solver_cs_pushes = totals.cs_pushes;
-    r.scheduler.solver_cs_relabels = totals.cs_relabels;
-    r.scheduler.solver_cs_price_refinements = totals.cs_price_refinements;
-    r.scheduler.solver_cs_global_updates = totals.cs_global_updates;
-    r.scheduler.solver_incremental_accepts = totals.incremental_accepts;
-    r.scheduler.solver_incremental_rebuilds = totals.incremental_rebuilds;
     if (gm->shards() > 1) {
       r.scheduler.planner_shards =
           static_cast<std::uint64_t>(gm->shards());
@@ -1039,21 +1040,6 @@ RunArtifacts SimulationEngine::finalize() {
                     r.scheduler.solver_relaxations);
       m.counter_set("planner.augmenting_paths",
                     r.scheduler.solver_augmenting_paths);
-      // Cost-scaling / incremental counters (zero under the default
-      // SSP solver, emitted unconditionally so dashboards can key on
-      // them without probing which solver ran).
-      m.counter_set("planner.cs_phases", r.scheduler.solver_cs_phases);
-      m.counter_set("planner.cs_pushes", r.scheduler.solver_cs_pushes);
-      m.counter_set("planner.cs_relabels",
-                    r.scheduler.solver_cs_relabels);
-      m.counter_set("planner.cs_price_refinements",
-                    r.scheduler.solver_cs_price_refinements);
-      m.counter_set("planner.cs_global_updates",
-                    r.scheduler.solver_cs_global_updates);
-      m.counter_set("planner.incremental_accepts",
-                    r.scheduler.solver_incremental_accepts);
-      m.counter_set("planner.incremental_rebuilds",
-                    r.scheduler.solver_incremental_rebuilds);
       m.gauge_set("planner.arena_bytes_peak",
                   static_cast<double>(
                       r.scheduler.solver_arena_bytes_peak));

@@ -3,7 +3,7 @@
 // policy and power manager into one slot-driven run and produces a
 // metrics::RunResult. Two fidelities share the same energy accounting;
 // event-level additionally routes every foreground request through the
-// disk model on the DES kernel for QoS metrics.
+// disk model, in arrival order, for QoS metrics.
 //
 // Per-slot sequence (DESIGN.md §3):
 //   1. admit released tasks, sort pending by deadline
@@ -30,7 +30,7 @@
 #include "energy/ledger.hpp"
 #include "metrics/report.hpp"
 #include "obs/recorder.hpp"
-#include "sim/simulator.hpp"
+#include "sim/stats.hpp"
 #include "storage/cluster.hpp"
 #include "storage/router.hpp"
 #include "workload/generator.hpp"
@@ -166,6 +166,8 @@ class SimulationEngine {
   /// energy and counters.
   std::vector<std::size_t> assign_tasks(const SlotDecision& decision,
                                         SimTime now, Joules& migration_j);
+  /// Routes this slot's requests in vector (= arrival) order, each at
+  /// its own arrival time.
   void route_requests(SlotIndex slot, SimTime start, SimTime end);
 
   /// True when discrete trace events (task admit/complete, node
@@ -188,7 +190,6 @@ class SimulationEngine {
   std::unique_ptr<SchedulerPolicy> policy_;
   PowerManager power_;
   storage::RequestRouter router_;
-  sim::Simulator simulator_;
   ClusterFacts facts_;
   SlotGrid slots_;
   /// Rolling per-slot observation buffer (see make_context).

@@ -13,25 +13,17 @@
 // state and measurably faster than constructing a fresh network
 // (see BM_MinCostFlowAssignment / BM_GreenMatchPlanDay).
 //
-// Two extensions for callers that solve a slowly-drifting sequence of
-// networks (the planner replans a shifted copy of last slot's
-// problem):
-//  - warm-started solves: solve() accepts the previous solve's Johnson
-//    potentials as a starting point. They are validated in O(E)
-//    against the non-negative-reduced-cost invariant and silently
-//    dropped (zero re-init) if the new network violates it, so a warm
-//    start can never change correctness — only the work per Dijkstra.
-//  - a monotone radix-heap priority queue (set_queue) for the
-//    small-integer-cost regime: Dijkstra's pop sequence is
-//    non-decreasing, so a 65-bucket radix structure replaces the
-//    binary heap's O(log n) pushes with O(1) amortized bucket moves.
+// Callers that solve a slowly-drifting sequence of networks (the
+// planner replans a shifted copy of last slot's problem) can warm-start
+// a solve from the previous solve's Johnson potentials. They are
+// validated in O(E) against the non-negative-reduced-cost invariant and
+// silently dropped (zero re-init) if the new network violates it, so a
+// warm start can never change correctness — only the work per Dijkstra.
 
 #include <climits>
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#include "core/mincost_flow_scaling.hpp"
 
 namespace gm::core {
 
@@ -39,20 +31,6 @@ class MinCostFlow {
  public:
   using NodeIdx = int;
   static constexpr long long kInfCost = LLONG_MAX / 4;
-
-  /// Priority queue driving the per-augmentation Dijkstra.
-  enum class QueueKind : std::uint8_t {
-    kBinaryHeap = 0,  ///< explicit binary heap, (dist, node) tiebreak
-    kRadix,           ///< monotone radix heap (small-integer costs)
-  };
-
-  /// Which algorithm solve() runs. Both return an exact minimum-cost
-  /// maximum flow (same flow value, same objective); which of several
-  /// equal-cost optima is returned may differ, as with QueueKind.
-  enum class SolverKind : std::uint8_t {
-    kSuccessiveShortestPath = 0,  ///< Dijkstra + Johnson potentials
-    kCostScaling,  ///< ε-scaling push-relabel (mincost_flow_scaling)
-  };
 
   explicit MinCostFlow(int node_count);
 
@@ -81,26 +59,13 @@ class MinCostFlow {
     std::uint64_t arcs = 0;       ///< externally added arcs
     std::uint64_t classes = 0;    ///< task classes (planner-stamped)
     std::uint64_t dijkstra_runs = 0;
-    std::uint64_t dijkstra_pops = 0;         ///< heap/bucket pops
+    std::uint64_t dijkstra_pops = 0;         ///< heap pops
     std::uint64_t dijkstra_relaxations = 0;  ///< residual arcs scanned
     std::uint64_t augmenting_paths = 0;
     bool warm = false;            ///< warm potentials accepted
     /// Bytes of solver scratch held across solves (the reset() arena):
-    /// adjacency storage, potentials, labels, heap and radix buckets,
-    /// and the cost-scaling core's retained residual network.
+    /// adjacency storage, potentials, labels and heap.
     std::uint64_t arena_bytes = 0;
-    // Cost-scaling fields, zero under kSuccessiveShortestPath (see
-    // docs/solver.md for the glossary):
-    std::uint64_t cs_phases = 0;    ///< ε-phases walked by the ladder
-    std::uint64_t cs_pushes = 0;
-    std::uint64_t cs_relabels = 0;
-    std::uint64_t cs_price_refinements = 0;  ///< phases skipped by B-F
-    std::uint64_t cs_global_updates = 0;     ///< Dial re-anchorings
-    std::uint64_t cs_arcs_fixed = 0;  ///< arc pairs fixed at exit
-    /// 1 if this solve re-refined a patched residual network / 1 if it
-    /// (re)built cold. Lifetime sums: incremental_accepts()/rebuilds().
-    std::uint64_t incremental_accepts = 0;
-    std::uint64_t incremental_rebuilds = 0;
   };
 
   const SolveStats& last_stats() const { return last_stats_; }
@@ -126,52 +91,9 @@ class MinCostFlow {
   /// solve's warm start.
   const std::vector<long long>& potentials() const { return potential_; }
 
-  /// Selects the Dijkstra priority queue. Both kinds produce a
-  /// minimum-cost flow; equal-distance pop *order* differs, so callers
-  /// that care about which of several equal-cost optima is returned
-  /// must pick one kind and stick with it.
-  void set_queue(QueueKind kind) { queue_ = kind; }
-  QueueKind queue() const { return queue_; }
-
-  /// Selects the solving algorithm. Switching kinds drops any retained
-  /// cost-scaling state, so the next kCostScaling solve builds cold.
-  void set_solver(SolverKind kind) {
-    if (kind != solver_) scaling_.invalidate();
-    solver_ = kind;
-  }
-  SolverKind solver() const { return solver_; }
-
-  /// Incremental re-optimization (kCostScaling only, default on): a
-  /// solve diffs the freshly built network against the residual state
-  /// retained from the previous solve and, when the topology diff is
-  /// small, patches it in place and re-refines from retained prices
-  /// instead of rebuilding — the cost-scaling analogue of the SSP warm
-  /// start, but it also reuses the flow, not just the potentials.
-  /// reset()/add_edge() stay oblivious: the diff happens inside
-  /// solve(), keyed on arc endpoints, so the planner's rebuild-every-
-  /// slot pattern works unchanged. Fallback to a cold build is
-  /// automatic (shape change, large diff, or pathological patch).
-  void set_incremental(bool on) { incremental_ = on; }
-  bool incremental() const { return incremental_; }
-
   /// Warm-start bookkeeping across the lifetime of this instance.
   std::uint64_t warm_accepts() const { return warm_accepts_; }
   std::uint64_t warm_rejects() const { return warm_rejects_; }
-
-  /// Incremental-reoptimization bookkeeping (lifetime sums of the
-  /// per-solve SolveStats flags; both zero under SSP).
-  std::uint64_t incremental_accepts() const {
-    return incremental_accepts_;
-  }
-  std::uint64_t incremental_rebuilds() const {
-    return incremental_rebuilds_;
-  }
-
-  /// Test-only: forwards to CostScalingCore::set_test_relabel_limit to
-  /// force the patched-solve budget-abort → cold-rebuild path.
-  void set_test_relabel_limit(std::uint64_t limit) {
-    scaling_.set_test_relabel_limit(limit);
-  }
 
   /// Flow currently on edge `edge_index` (after solve).
   long long flow_on(int edge_index) const;
@@ -187,10 +109,7 @@ class MinCostFlow {
   };
 
   Result run_ssp(NodeIdx s, NodeIdx t, long long max_flow);
-  /// kCostScaling path, defined in mincost_flow_scaling.cpp.
-  Result run_cost_scaling(NodeIdx s, NodeIdx t, long long max_flow);
-  bool dijkstra_binary(NodeIdx s, NodeIdx t);
-  bool dijkstra_radix(NodeIdx s, NodeIdx t);
+  bool dijkstra(NodeIdx s, NodeIdx t);
   /// Resets last_stats_ and fills the per-solve network/arena fields.
   void begin_stats(bool warm);
   std::uint64_t arena_bytes() const;
@@ -202,19 +121,9 @@ class MinCostFlow {
   /// (node, edge list index) of each externally added edge.
   std::vector<std::pair<NodeIdx, int>> edge_refs_;
 
-  QueueKind queue_ = QueueKind::kBinaryHeap;
-  SolverKind solver_ = SolverKind::kSuccessiveShortestPath;
-  bool incremental_ = true;  ///< only consulted under kCostScaling
   std::uint64_t warm_accepts_ = 0;
   std::uint64_t warm_rejects_ = 0;
-  std::uint64_t incremental_accepts_ = 0;
-  std::uint64_t incremental_rebuilds_ = 0;
   SolveStats last_stats_;
-
-  /// Retained cost-scaling state (survives reset() on purpose — the
-  /// incremental diff happens against it) plus the gather scratch.
-  CostScalingCore scaling_;
-  std::vector<CostScalingCore::ExtArc> ext_arcs_;
 
   // Solver scratch, reused across solve() calls (see reset()).
   std::vector<long long> potential_;
@@ -222,9 +131,6 @@ class MinCostFlow {
   std::vector<int> prev_node_;
   std::vector<int> prev_edge_;
   std::vector<std::pair<long long, NodeIdx>> heap_;
-  /// Radix-heap buckets: entry (key, node), bucket = bit position of
-  /// the highest bit where key differs from the last popped key.
-  std::vector<std::vector<std::pair<long long, NodeIdx>>> radix_buckets_;
 };
 
 }  // namespace gm::core

@@ -92,6 +92,14 @@ Workload read_trace(const std::string& text) {
     }
   }
 
+  // Replay routes requests in vector order, so restore arrival order
+  // here; ties keep their file order.
+  std::stable_sort(out.requests.begin(), out.requests.end(),
+                   [](const storage::IoRequest& a,
+                      const storage::IoRequest& b) {
+                     return a.arrival < b.arrival;
+                   });
+
   SimTime max_t = 0;
   for (const auto& r : out.requests) max_t = std::max(max_t, r.arrival);
   for (const auto& t : out.tasks) max_t = std::max(max_t, t.deadline);

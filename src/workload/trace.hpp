@@ -16,6 +16,8 @@ namespace gm::workload {
 void write_trace(std::ostream& out, const Workload& workload);
 void write_trace_file(const std::string& path, const Workload& workload);
 
+/// Parses a trace. Requests come back stably sorted by arrival (the
+/// order the engine routes them in), whatever their order in the file.
 Workload read_trace(const std::string& text);
 Workload read_trace_file(const std::string& path);
 

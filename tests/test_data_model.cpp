@@ -163,9 +163,11 @@ TEST(PlanCache, CachedModeMatchesReplanOnBrownAndMisses) {
   EXPECT_EQ(cached.qos.tasks_completed, cached.qos.tasks_total);
   // Staleness may cost a little brown but not much.
   EXPECT_LE(cached.energy.brown_j, replan.energy.brown_j * 1.10);
-  // And it must save planner time.
-  EXPECT_LT(cached.scheduler.plan_solve_ms_total,
-            replan.scheduler.plan_solve_ms_total);
+  // And it must save planner work: slots served from the cached plan
+  // skip the solve. Counted, not timed, so the check is deterministic.
+  EXPECT_GT(cached.scheduler.plan_cache_hits, 0u);
+  EXPECT_LT(cached.scheduler.solver_solves,
+            replan.scheduler.solver_solves);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "util/assert.hpp"
 #include "util/units.hpp"
 
 namespace gm::core {

@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "core/engine.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+#include "workload/trace.hpp"
 
 namespace gm::core {
 namespace {
@@ -131,6 +134,87 @@ TEST_P(EngineProperties, InvariantsHoldForRandomConfigs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineProperties,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// ---- trace replay order ------------------------------------------------
+
+ExperimentConfig small_event_config() {
+  ExperimentConfig config;
+  config.cluster.racks = 2;
+  config.cluster.nodes_per_rack = 6;
+  config.cluster.placement.group_count = 64;
+  config.workload = workload::WorkloadSpec::canonical(2, 11);
+  config.workload.foreground.base_rate_per_s = 0.3;
+  for (auto& c : config.workload.task_classes) c.mean_per_day *= 0.4;
+  config.solar.horizon_days = 4;
+  config.panel_area_m2 = 60.0;
+  config.policy.kind = PolicyKind::kGreenMatch;
+  config.fidelity = Fidelity::kEventLevel;
+  return config;
+}
+
+/// `w` with its requests regrouped by arrival time and the groups laid
+/// out in reverse: unsorted across slots, while requests that share an
+/// arrival time keep their relative order.
+workload::Workload reverse_arrival_groups(const workload::Workload& w) {
+  workload::Workload out = w;
+  out.requests.clear();
+  std::size_t end = w.requests.size();
+  while (end > 0) {
+    std::size_t begin = end - 1;
+    while (begin > 0 &&
+           w.requests[begin - 1].arrival == w.requests[end - 1].arrival)
+      --begin;
+    out.requests.insert(out.requests.end(), w.requests.begin() + begin,
+                        w.requests.begin() + end);
+    end = begin;
+  }
+  return out;
+}
+
+workload::Workload trace_round_trip(const workload::Workload& w) {
+  std::ostringstream os;
+  workload::write_trace(os, w);
+  return workload::read_trace(os.str());
+}
+
+std::string summary_of(const ExperimentConfig& base,
+                       const workload::Workload& w) {
+  ExperimentConfig config = base;
+  config.preset_workload = std::make_shared<const workload::Workload>(w);
+  std::ostringstream os;
+  run_experiment(config).result.print_summary(os);
+  return os.str();
+}
+
+// A trace file whose request rows are out of arrival order replays
+// exactly like its sorted twin: read_trace restores arrival order.
+TEST(TraceReplay, UnsortedTraceMatchesSortedTwin) {
+  const auto config = small_event_config();
+  const auto generated = workload::generate_workload(
+      config.workload, config.cluster.placement.group_count);
+  const auto shuffled = reverse_arrival_groups(generated);
+  ASSERT_FALSE(std::is_sorted(
+      shuffled.requests.begin(), shuffled.requests.end(),
+      [](const auto& a, const auto& b) { return a.arrival < b.arrival; }));
+
+  const auto sorted_twin = trace_round_trip(generated);
+  const auto unsorted = trace_round_trip(shuffled);
+  ASSERT_EQ(unsorted.requests.size(), sorted_twin.requests.size());
+  for (std::size_t i = 0; i < sorted_twin.requests.size(); ++i)
+    ASSERT_EQ(unsorted.requests[i].id, sorted_twin.requests[i].id);
+  EXPECT_EQ(summary_of(config, unsorted), summary_of(config, sorted_twin));
+}
+
+// Requests are routed in vector order, so a preset workload that
+// bypassed read_trace must already be sorted; the engine says so
+// up front instead of failing mid-run.
+TEST(TraceReplay, EngineRejectsUnsortedPresetWorkload) {
+  auto config = small_event_config();
+  config.preset_workload = std::make_shared<const workload::Workload>(
+      reverse_arrival_groups(workload::generate_workload(
+          config.workload, config.cluster.placement.group_count)));
+  EXPECT_THROW(SimulationEngine engine(config), InvalidArgument);
+}
 
 }  // namespace
 }  // namespace gm::core

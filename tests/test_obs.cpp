@@ -15,6 +15,7 @@
 #include "obs/profile.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "util/assert.hpp"
 #include "util/units.hpp"
 
 namespace gm::obs {
