@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "energy/battery.hpp"
 #include "util/assert.hpp"
@@ -216,6 +217,14 @@ struct BatteryCase {
   BatteryTechnology tech;
   double capacity_kwh;
 };
+
+// Names each instance by its fields. Without it gtest prints the raw
+// bytes, struct padding included, so the test names changed from one
+// build to the next.
+void PrintTo(const BatteryCase& c, std::ostream* os) {
+  *os << battery_technology_name(c.tech) << ' ' << c.capacity_kwh
+      << " kWh";
+}
 
 class BatteryConservation
     : public ::testing::TestWithParam<BatteryCase> {};
