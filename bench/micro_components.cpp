@@ -47,18 +47,27 @@ void BM_MinCostFlowAssignment(benchmark::State& state) {
 }
 BENCHMARK(BM_MinCostFlowAssignment)->Arg(32)->Arg(128);
 
-void BM_PlacementBuild(benchmark::State& state) {
+void BM_PlacementBuild(benchmark::State& state, int racks,
+                       int nodes_per_rack, std::uint32_t groups) {
   storage::ClusterConfig config;
-  config.racks = 4;
-  config.nodes_per_rack = static_cast<int>(state.range(0)) / 4;
-  config.placement.group_count = 1024;
+  config.racks = racks;
+  config.nodes_per_rack = nodes_per_rack;
+  config.placement.group_count = groups;
   config.placement.replication = 3;
   for (auto _ : state) {
     storage::Cluster cluster(config);
     benchmark::DoNotOptimize(cluster.node_count());
   }
 }
+/// /<nodes>: 4 racks, 1,024 groups.
+void BM_PlacementBuild(benchmark::State& state) {
+  BM_PlacementBuild(state, 4, static_cast<int>(state.range(0)) / 4, 1024);
+}
 BENCHMARK(BM_PlacementBuild)->Arg(64)->Arg(256);
+// The massive fleet's shape (configs/massive_fleet_week.conf): 128
+// racks x 80 nodes, 8,192 groups.
+BENCHMARK_CAPTURE(BM_PlacementBuild, massive, 128, 80, 8192)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ChooseActiveSet(benchmark::State& state) {
   storage::ClusterConfig config;

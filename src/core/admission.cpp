@@ -126,6 +126,9 @@ AdmissionDecision AdmissionController::decide(
       break;
     }
   }
+  const auto scanned = static_cast<std::uint64_t>(stop - base_slot_ + 1);
+  stats_.slots_scanned += scanned;
+  stats_.max_slots_scanned = std::max(stats_.max_slots_scanned, scanned);
   const bool use_credit = gathered < need;
   if (use_credit) gathered += battery_credit_j_;
 

@@ -67,6 +67,12 @@ struct AdmissionStats {
   std::uint64_t deferred = 0;  ///< defer decisions, not unique tasks
   std::uint64_t rejected = 0;
   std::uint64_t overflow_admits = 0;  ///< subset of admitted
+  /// Ledger slots the headroom scan visited, summed over decisions
+  /// (the consume pass only revisits a prefix of them) and the most in
+  /// any one decision. The bounded-scan contract: the latter is at most
+  /// `admission.horizon`.
+  std::uint64_t slots_scanned = 0;
+  std::uint64_t max_slots_scanned = 0;
   double decision_wall_ms = 0.0;      ///< hot-path CPU (telemetry)
 };
 

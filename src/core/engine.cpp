@@ -71,13 +71,21 @@ energy::GridConfig build_effective_grid(const ExperimentConfig& config) {
   return grid;
 }
 
+/// Builds the cluster with `recorder` installed, so the placement
+/// build's GM_OBS_SCOPE lands in this run's profile and Chrome trace.
+storage::Cluster build_cluster(const storage::ClusterConfig& config,
+                               obs::Recorder* recorder) {
+  obs::ScopedRecorder obs_install(recorder);
+  return storage::Cluster(config);
+}
+
 }  // namespace
 
 SimulationEngine::SimulationEngine(const ExperimentConfig& config,
                                    std::shared_ptr<obs::Recorder> recorder)
     : config_(config),
       recorder_(std::move(recorder)),
-      cluster_(config.cluster),
+      cluster_(build_cluster(config.cluster, recorder_.get())),
       workload_(config.preset_workload
                     ? config.preset_workload
                     : std::make_shared<const workload::Workload>(

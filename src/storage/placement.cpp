@@ -1,10 +1,11 @@
 #include "storage/placement.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <unordered_map>
 
-#include <cmath>
-
+#include "obs/recorder.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -21,14 +22,9 @@ void PlacementConfig::validate() const {
 PlacementMap::PlacementMap(const PlacementConfig& config,
                            std::vector<NodeDescriptor> nodes)
     : config_(config), nodes_(std::move(nodes)) {
+  GM_OBS_SCOPE("storage.placement_build");
   config_.validate();
   GM_CHECK(!nodes_.empty(), "placement over an empty cluster");
-
-  // Count racks to decide whether rack-disjoint placement is possible.
-  std::unordered_map<RackId, int> rack_sizes;
-  for (const auto& n : nodes_) ++rack_sizes[n.rack];
-  const bool rack_disjoint =
-      rack_sizes.size() >= static_cast<std::size_t>(config_.replication);
 
   group_replicas_.resize(config_.group_count);
   node_groups_.resize(nodes_.size());
@@ -43,57 +39,87 @@ PlacementMap::PlacementMap(const PlacementConfig& config,
     bytes = sample_lognormal(data_rng, log_mu, config_.group_bytes_sigma);
 
   NodeId max_id = 0;
-  for (const auto& n : nodes_) max_id = std::max(max_id, n.id);
-  id_to_index_.assign(max_id + 1, SIZE_MAX);
+  for (const auto& n : nodes_) {
+    // kInvalidNode is reserved, and max_id + 1 below must not wrap.
+    GM_CHECK(n.id != kInvalidNode,
+             "node id " << n.id << " is reserved (kInvalidNode)");
+    max_id = std::max(max_id, n.id);
+  }
+  id_to_index_.assign(static_cast<std::size_t>(max_id) + 1, SIZE_MAX);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     GM_CHECK(id_to_index_[nodes_[i].id] == SIZE_MAX,
              "duplicate node id in placement: " << nodes_[i].id);
     id_to_index_[nodes_[i].id] = i;
   }
 
+  // Rendezvous ranking: score descending, node id ascending. Node ids
+  // are unique, so this is a strict total order and every selection
+  // below is deterministic.
   struct Scored {
     std::uint64_t score;
     NodeId node;
-    RackId rack;
   };
-  std::vector<Scored> scored;
-  scored.reserve(nodes_.size());
+  const auto ranks_before = [](const Scored& a, const Scored& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.node < b.node;
+  };
+  // Replicas come from distinct buckets: racks when there are at least
+  // `replication` of them, single nodes otherwise. Walking the full
+  // ranking and keeping the first node of each unseen bucket picks
+  // exactly the bucket champions (each bucket's best-ranked node), met
+  // in ranking order. So the replicas are the top `replication`
+  // champions, found with one hash per node and a partial sort.
+  std::unordered_map<RackId, std::uint32_t> rack_index;
+  std::vector<std::uint32_t> bucket_of(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
+    bucket_of[i] =
+        rack_index
+            .try_emplace(nodes_[i].rack,
+                         static_cast<std::uint32_t>(rack_index.size()))
+            .first->second;
+  const auto replication = static_cast<std::size_t>(config_.replication);
+  const bool rack_disjoint = rack_index.size() >= replication;
+  if (!rack_disjoint) std::iota(bucket_of.begin(), bucket_of.end(), 0u);
+  const std::size_t buckets =
+      rack_disjoint ? rack_index.size() : nodes_.size();
+  const std::size_t keep = std::min(replication, buckets);
 
+  // Node ids laid out bucket by bucket, ascending within each; bucket b
+  // is bucket_nodes[bucket_start[b], bucket_start[b + 1]).
+  std::vector<std::size_t> bucket_start(buckets + 1, 0);
+  for (std::uint32_t b : bucket_of) ++bucket_start[b + 1];
+  std::partial_sum(bucket_start.begin(), bucket_start.end(),
+                   bucket_start.begin());
+  std::vector<NodeId> bucket_nodes(nodes_.size());
+  std::vector<std::size_t> next_free(bucket_start.begin(),
+                                     bucket_start.end() - 1);
+  for (const std::size_t i : id_to_index_)  // ascending node id
+    if (i != SIZE_MAX) bucket_nodes[next_free[bucket_of[i]]++] = nodes_[i].id;
+
+  std::vector<Scored> champions(buckets);
   for (GroupId g = 0; g < config_.group_count; ++g) {
-    scored.clear();
-    for (const auto& n : nodes_) {
-      const std::uint64_t score =
-          mix_hash(mix_hash(config_.seed, g), n.id);
-      scored.push_back({score, n.id, n.rack});
+    const std::uint64_t group_key = mix_hash(config_.seed, g);
+    for (std::size_t b = 0; b < buckets; ++b) {
+      // Ids ascend within the bucket, so keeping the first of equal
+      // scores breaks ties by lower id, as the ranking does.
+      std::size_t k = bucket_start[b];
+      Scored champion{mix_hash(group_key, bucket_nodes[k]), bucket_nodes[k]};
+      for (++k; k < bucket_start[b + 1]; ++k) {
+        const std::uint64_t score = mix_hash(group_key, bucket_nodes[k]);
+        if (score > champion.score) champion = {score, bucket_nodes[k]};
+      }
+      champions[b] = champion;
     }
-    std::sort(scored.begin(), scored.end(),
-              [](const Scored& a, const Scored& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.node < b.node;
-              });
+    const auto top = champions.begin() + static_cast<std::ptrdiff_t>(keep);
+    std::partial_sort(champions.begin(), top, champions.end(),
+                      ranks_before);
 
     auto& replicas = group_replicas_[g];
-    std::vector<RackId> used_racks;
-    for (const auto& s : scored) {
-      if (replicas.size() == static_cast<std::size_t>(config_.replication))
-        break;
-      if (rack_disjoint &&
-          std::find(used_racks.begin(), used_racks.end(), s.rack) !=
-              used_racks.end())
-        continue;
-      replicas.push_back(s.node);
-      used_racks.push_back(s.rack);
+    replicas.reserve(keep);
+    for (auto it = champions.begin(); it != top; ++it) {
+      replicas.push_back(it->node);
+      node_groups_[id_to_index_[it->node]].push_back(g);
     }
-    // If rack-disjoint filling fell short (tiny clusters), relax it.
-    for (const auto& s : scored) {
-      if (replicas.size() == static_cast<std::size_t>(config_.replication))
-        break;
-      if (std::find(replicas.begin(), replicas.end(), s.node) ==
-          replicas.end())
-        replicas.push_back(s.node);
-    }
-    GM_CHECK(!replicas.empty(), "group " << g << " has no replicas");
-    for (NodeId n : replicas) node_groups_[id_to_index_[n]].push_back(g);
   }
 }
 

@@ -384,12 +384,20 @@ TEST(OpenSystemEngine, DecisionLatencyTelemetryIsRecorded) {
   const auto artifacts = engine.run();
   ASSERT_NE(engine.admission(), nullptr);
   const auto& s = artifacts.result.scheduler;
-  EXPECT_EQ(engine.admission()->latency_us().count(),
-            artifacts.result.qos.admission_decisions);
+  const std::uint64_t decisions = artifacts.result.qos.admission_decisions;
+  EXPECT_EQ(engine.admission()->latency_us().count(), decisions);
   EXPECT_GT(s.admission_decision_p99_us, 0.0);
   EXPECT_GE(s.admission_decision_p99_us, s.admission_decision_p50_us);
-  // The fast-path contract: p99 well under 50 us per decision.
-  EXPECT_LT(s.admission_decision_p99_us, 50.0);
+  // The fast-path contract, as work: every decision scans at most
+  // admission.horizon ledger slots. (The wall-clock claim lives in
+  // BM_AdmissionThroughput, where timing noise cannot fail a test.)
+  const AdmissionStats& stats = engine.admission()->stats();
+  const auto horizon =
+      static_cast<std::uint64_t>(config.admission.horizon_slots);
+  EXPECT_GT(stats.max_slots_scanned, 0u);
+  EXPECT_LE(stats.max_slots_scanned, horizon);
+  EXPECT_GE(stats.slots_scanned, decisions);  // at least one slot each
+  EXPECT_LE(stats.slots_scanned, decisions * horizon);
 }
 
 TEST(OpenSystemEngine, RunsAreDeterministicAndSeedSensitive) {

@@ -449,6 +449,19 @@ TEST(ObsEndToEnd, RecorderDoesNotPerturbTheRun) {
   EXPECT_EQ(plain.battery.equivalent_cycles,
             traced.battery.equivalent_cycles);
 
+  // Construction phases are profiled too: the engine installs its
+  // recorder around the cluster build, and only there.
+  const auto& phases = recorder->profiler().phases();
+  const auto placement = phases.find("storage.placement_build");
+  ASSERT_NE(placement, phases.end());
+  EXPECT_EQ(placement->second.calls, 1u);
+  EXPECT_EQ(current_recorder(), nullptr);
+  std::ifstream chrome(chrome_path);
+  std::stringstream chrome_json;
+  chrome_json << chrome.rdbuf();
+  EXPECT_NE(chrome_json.str().find("\"storage.placement_build\""),
+            std::string::npos);
+
   std::remove(trace_path.c_str());
   std::remove(chrome_path.c_str());
   std::remove(metrics_path.c_str());

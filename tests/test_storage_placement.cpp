@@ -1,14 +1,17 @@
 // Placement map tests: determinism, replication, rack-disjointness,
-// balance, stability under node-set changes.
+// balance, stability under node-set changes, and exact equivalence
+// with the full-sort ranking it replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <unordered_set>
 
 #include "storage/placement.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace gm::storage {
 namespace {
@@ -141,10 +144,12 @@ TEST(Placement, MinimalMovementOnNodeRemoval) {
       EXPECT_EQ(before, after) << "untouched group " << g << " moved";
     } else {
       // The surviving replica keeps its slot.
-      for (NodeId n : before)
-        if (n != removed)
+      for (NodeId n : before) {
+        if (n != removed) {
           EXPECT_NE(std::find(after.begin(), after.end(), n),
                     after.end());
+        }
+      }
     }
   }
 }
@@ -160,10 +165,169 @@ TEST(Placement, ValidationErrors) {
                InvalidArgument);
 }
 
+TEST(Placement, ReservedNodeIdIsRejected) {
+  // kInvalidNode as a descriptor id would wrap the id table's size.
+  EXPECT_THROW(PlacementMap(config_with(2, 10),
+                            {{0, 0}, {kInvalidNode, 1}}),
+               InvalidArgument);
+  EXPECT_THROW(PlacementMap(config_with(1, 10), {{kInvalidNode, 0}}),
+               InvalidArgument);
+}
+
 TEST(Placement, UnknownNodeQueriesThrow) {
   PlacementMap map(config_with(2, 16), grid_nodes(2, 2));
   EXPECT_THROW(map.groups_on(99), InvalidArgument);
   EXPECT_THROW(map.replicas(16), InvalidArgument);
+}
+
+// --- Equivalence with the full-sort ranking ------------------------------
+
+/// TEST ORACLE, not production code: the placement algorithm
+/// PlacementMap used before it switched to per-rack champions. For
+/// each group it fully sorts every node by (score descending, id
+/// ascending), keeps the first node of each unseen rack, and relaxes
+/// the rack constraint if that falls short. PlacementMap must return
+/// the same replicas in the same order.
+struct OraclePlacement {
+  std::vector<std::vector<NodeId>> replicas;           ///< per group
+  std::map<NodeId, std::vector<GroupId>> groups_on;  ///< per node
+};
+
+OraclePlacement full_sort_placement(const PlacementConfig& config,
+                                    const std::vector<NodeDescriptor>& nodes) {
+  std::set<RackId> racks;
+  for (const auto& n : nodes) racks.insert(n.rack);
+  const bool rack_disjoint =
+      racks.size() >= static_cast<std::size_t>(config.replication);
+
+  OraclePlacement out;
+  out.replicas.resize(config.group_count);
+  for (const auto& n : nodes) out.groups_on[n.id];
+
+  struct Scored {
+    std::uint64_t score;
+    NodeId node;
+    RackId rack;
+  };
+  std::vector<Scored> scored;
+  scored.reserve(nodes.size());
+  for (GroupId g = 0; g < config.group_count; ++g) {
+    scored.clear();
+    for (const auto& n : nodes)
+      scored.push_back(
+          {mix_hash(mix_hash(config.seed, g), n.id), n.id, n.rack});
+    std::sort(scored.begin(), scored.end(),
+              [](const Scored& a, const Scored& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.node < b.node;
+              });
+
+    auto& replicas = out.replicas[g];
+    std::vector<RackId> used_racks;
+    for (const auto& s : scored) {
+      if (replicas.size() == static_cast<std::size_t>(config.replication))
+        break;
+      if (rack_disjoint &&
+          std::find(used_racks.begin(), used_racks.end(), s.rack) !=
+              used_racks.end())
+        continue;
+      replicas.push_back(s.node);
+      used_racks.push_back(s.rack);
+    }
+    for (const auto& s : scored) {
+      if (replicas.size() == static_cast<std::size_t>(config.replication))
+        break;
+      if (std::find(replicas.begin(), replicas.end(), s.node) ==
+          replicas.end())
+        replicas.push_back(s.node);
+    }
+    for (NodeId n : replicas) out.groups_on[n].push_back(g);
+  }
+  return out;
+}
+
+void expect_matches_oracle(const PlacementConfig& config,
+                           const std::vector<NodeDescriptor>& nodes,
+                           const std::string& label) {
+  const OraclePlacement oracle = full_sort_placement(config, nodes);
+  const PlacementMap map(config, nodes);
+  for (GroupId g = 0; g < config.group_count; ++g)
+    ASSERT_EQ(map.replicas(g), oracle.replicas[g])
+        << label << ", group " << g;
+  for (const auto& [node, groups] : oracle.groups_on)
+    ASSERT_EQ(map.groups_on(node), groups) << label << ", node " << node;
+}
+
+/// `count` distinct values drawn from [0, bound).
+std::vector<std::uint32_t> distinct_ids(Rng& rng, std::size_t count,
+                                        std::uint64_t bound) {
+  std::set<std::uint32_t> ids;
+  while (ids.size() < count)
+    ids.insert(static_cast<std::uint32_t>(rng.uniform_u64(bound)));
+  std::vector<std::uint32_t> out(ids.begin(), ids.end());
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
+TEST(PlacementEquivalence, MatchesFullSortOnRandomClusters) {
+  Rng rng(20160523);
+  for (int trial = 0; trial < 240; ++trial) {
+    PlacementConfig config;
+    config.seed = rng.next();
+    config.replication = static_cast<int>(rng.uniform_int(1, 5));
+    config.group_count = static_cast<std::uint32_t>(rng.uniform_int(1, 96));
+    const int r = config.replication;
+
+    // Rack count: fewer than, equal to, or more than the replication,
+    // in turn. Every fifth trial has fewer nodes than replicas.
+    int racks = 0;
+    switch (trial % 3) {
+      case 0: racks = r > 1 ? static_cast<int>(rng.uniform_int(1, r - 1))
+                            : 1; break;
+      case 1: racks = r; break;
+      default: racks = static_cast<int>(rng.uniform_int(r + 1, r + 8));
+    }
+    const bool starved = trial % 5 == 4 && r > 1;
+    if (starved) racks = std::min(racks, r - 1);
+
+    // Uneven rack sizes, single-node racks included.
+    std::vector<int> sizes(static_cast<std::size_t>(racks));
+    for (auto& size : sizes)
+      size = rng.bernoulli(0.3) ? 1 : static_cast<int>(rng.uniform_int(1, 9));
+    int total = 0;
+    for (int size : sizes) total += size;
+    if (starved) {
+      // Trim to at most r - 1 nodes, keeping every rack non-empty.
+      std::fill(sizes.begin(), sizes.end(), 1);
+      total = racks;
+    }
+
+    // Sparse, non-contiguous ids; descriptors in shuffled order.
+    const auto rack_ids = distinct_ids(rng, sizes.size(), 1u << 30);
+    const auto node_ids = distinct_ids(
+        rng, static_cast<std::size_t>(total),
+        static_cast<std::uint64_t>(4 * total + 64));
+    std::vector<NodeDescriptor> nodes;
+    std::size_t next = 0;
+    for (std::size_t k = 0; k < sizes.size(); ++k)
+      for (int n = 0; n < sizes[k]; ++n)
+        nodes.push_back({node_ids[next++], rack_ids[k]});
+    std::shuffle(nodes.begin(), nodes.end(), rng);
+
+    expect_matches_oracle(
+        config, nodes,
+        "trial " + std::to_string(trial) + " (R=" + std::to_string(r) +
+            ", racks=" + std::to_string(racks) +
+            ", nodes=" + std::to_string(nodes.size()) + ")");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(PlacementEquivalence, MatchesFullSortOnTheMassiveFleet) {
+  // configs/massive_fleet_week.conf: 128 racks x 80 nodes, 8,192
+  // groups, three replicas.
+  PlacementConfig config = config_with(3, 8192);
+  expect_matches_oracle(config, grid_nodes(128, 80), "massive fleet");
 }
 
 }  // namespace
