@@ -1,67 +1,230 @@
 #include "core/config_io.hpp"
 
+#include <charconv>
+#include <iomanip>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <type_traits>
 
 #include "util/assert.hpp"
+#include "util/csv.hpp"
 
 namespace gm::core {
 
-PolicyKind parse_policy_kind(const std::string& name) {
-  if (name == "asap" || name == "esd-only") return PolicyKind::kAsap;
-  if (name == "opportunistic") return PolicyKind::kOpportunistic;
-  if (name == "greenmatch") return PolicyKind::kGreenMatch;
-  if (name == "greenmatch-greedy") return PolicyKind::kGreenMatchGreedy;
-  if (name == "night-shift" || name == "nightshift")
-    return PolicyKind::kNightShift;
-  throw InvalidArgument("unknown policy kind: '" + name + "'");
-}
-
 namespace {
 
-workload::WorkloadSpec parse_workload_preset(const std::string& name,
-                                             int days,
-                                             std::uint64_t seed) {
-  if (name == "canonical")
-    return workload::WorkloadSpec::canonical(days, seed);
-  if (name == "read-heavy")
-    return workload::WorkloadSpec::read_heavy(days, seed);
-  if (name == "backup-heavy")
-    return workload::WorkloadSpec::backup_heavy(days, seed);
-  throw InvalidArgument("unknown workload preset: '" + name + "'");
+// --------------------------------------------------------- value types
+
+/// A decimal integer that fits `T`: out-of-range values are rejected
+/// instead of wrapped, and unsigned types reject a minus sign.
+template <typename T>
+T parse_integer(const std::string& text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc() && ptr == end) return v;
+  throw InvalidArgument("not an integer in [" +
+                        std::to_string(std::numeric_limits<T>::min()) +
+                        ", " +
+                        std::to_string(std::numeric_limits<T>::max()) +
+                        "]: '" + text + "'");
 }
 
-energy::BatteryConfig parse_battery(const std::string& technology,
-                                    double kwh) {
-  if (technology == "li" || technology == "lithium-ion")
-    return energy::BatteryConfig::lithium_ion(kwh_to_j(kwh));
-  if (technology == "la" || technology == "lead-acid")
-    return energy::BatteryConfig::lead_acid(kwh_to_j(kwh));
-  if (technology == "ideal")
-    return energy::BatteryConfig::ideal(kwh_to_j(kwh));
-  throw InvalidArgument("unknown battery technology: '" + technology +
-                        "'");
+std::string echo_num(double v) {
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << v;
+  return os.str();
 }
 
-/// The config-file spelling of a battery's technology — also the
-/// default `battery.technology` in apply_config, so re-applying a kv
-/// set that omits the key is a no-op for the technology (an in-memory
-/// ideal battery must not silently become lithium-ion).
-std::string echo_battery_technology(const energy::BatteryConfig& b) {
-  switch (b.technology) {
-    case energy::BatteryTechnology::kLeadAcid: return "la";
-    case energy::BatteryTechnology::kLithiumIon: return "li";
-    case energy::BatteryTechnology::kCustom: return "ideal";
+/// Parse and echo for a field of type T; the echo re-parses exactly.
+template <typename T>
+T parse_value(const std::string& text) {
+  if constexpr (std::is_same_v<T, bool>)
+    return parse_bool(text);
+  else if constexpr (std::is_integral_v<T>)
+    return parse_integer<T>(text);
+  else if constexpr (std::is_floating_point_v<T>)
+    return csv_to_double(text);
+  else
+    return text;
+}
+
+template <typename T>
+std::string echo_value(const T& v) {
+  if constexpr (std::is_same_v<T, bool>)
+    return v ? "true" : "false";
+  else if constexpr (std::is_integral_v<T>)
+    return std::to_string(v);
+  else if constexpr (std::is_floating_point_v<T>)
+    return echo_num(v);
+  else
+    return v;
+}
+
+template <typename T>
+constexpr KeyType key_type() {
+  if constexpr (std::is_same_v<T, bool>) return KeyType::kBool;
+  if constexpr (std::is_integral_v<T>) return KeyType::kInteger;
+  if constexpr (std::is_floating_point_v<T>) return KeyType::kNumber;
+  return KeyType::kText;
+}
+
+/// Accessor for one config field, usable on const and mutable configs.
+#define GM_FIELD(path) [](auto& c) -> auto& { return c.path; }
+
+/// A key bound to one field; its type follows the field's C++ type.
+template <typename Field>
+ConfigKey field_key(std::string name, Field field, std::string note = {}) {
+  using T = std::remove_cvref_t<decltype(field(
+      std::declval<ExperimentConfig&>()))>;
+  return {std::move(name), key_type<T>(), {}, std::move(note),
+          [field](ExperimentConfig& c, const std::string& v) {
+            field(c) = parse_value<T>(v);
+          },
+          [field](const ExperimentConfig& c) -> std::optional<std::string> {
+            return echo_value(field(c));
+          }};
+}
+
+// ------------------------------------------------------------- choices
+
+/// One accepted spelling of a choice key. In a name list the first
+/// entry for a value is the name config_echo emits; later entries for
+/// the same value are parse-only aliases.
+template <typename V>
+struct Named {
+  const char* name;
+  V value;
+};
+
+template <typename V>
+std::vector<std::string> choice_names(std::span<const Named<V>> names) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    bool alias = false;
+    for (std::size_t j = 0; j < i; ++j)
+      alias = alias || names[j].value == names[i].value;
+    if (!alias) out.emplace_back(names[i].name);
   }
-  return "li";
+  return out;
 }
 
-scenario::FailureProcess parse_failure_process(const std::string& name) {
-  if (name == "none") return scenario::FailureProcess::kNone;
-  if (name == "poisson") return scenario::FailureProcess::kPoisson;
-  if (name == "weibull") return scenario::FailureProcess::kWeibull;
-  throw InvalidArgument("unknown scenario.failure_process: '" + name +
-                        "'");
+std::string join(const std::vector<std::string>& parts, const char* sep) {
+  std::string out;
+  for (const auto& p : parts) out += (out.empty() ? "" : sep) + p;
+  return out;
+}
+
+template <typename V>
+V lookup(std::span<const Named<V>> names, const std::string& text) {
+  for (const auto& n : names)
+    if (text == n.name) return n.value;
+  throw InvalidArgument("unknown value '" + text + "' (expected " +
+                        join(choice_names(names), "|") + ")");
+}
+
+template <typename V>
+const char* name_of(std::span<const Named<V>> names, const V& value) {
+  for (const auto& n : names)
+    if (n.value == value) return n.name;
+  GM_UNREACHABLE("value missing from its name list");
+}
+
+const Named<PolicyKind> kPolicyKinds[] = {
+    {"asap", PolicyKind::kAsap},
+    {"opportunistic", PolicyKind::kOpportunistic},
+    {"greenmatch", PolicyKind::kGreenMatch},
+    {"greenmatch-greedy", PolicyKind::kGreenMatchGreedy},
+    {"night-shift", PolicyKind::kNightShift},
+    {"esd-only", PolicyKind::kAsap},
+    {"nightshift", PolicyKind::kNightShift}};
+
+const Named<Fidelity> kFidelities[] = {{"slot", Fidelity::kSlotLevel},
+                                       {"event", Fidelity::kEventLevel}};
+
+const Named<AdmissionOverflow> kOverflows[] = {
+    {"grid", AdmissionOverflow::kGrid},
+    {"reject", AdmissionOverflow::kReject}};
+
+const Named<scenario::FailureProcess> kFailureProcesses[] = {
+    {"none", scenario::FailureProcess::kNone},
+    {"poisson", scenario::FailureProcess::kPoisson},
+    {"weibull", scenario::FailureProcess::kWeibull}};
+
+/// Battery technologies; kCustom echoes as the ideal preset.
+const Named<energy::BatteryTechnology> kBatteryTechnologies[] = {
+    {"li", energy::BatteryTechnology::kLithiumIon},
+    {"la", energy::BatteryTechnology::kLeadAcid},
+    {"ideal", energy::BatteryTechnology::kCustom},
+    {"lithium-ion", energy::BatteryTechnology::kLithiumIon},
+    {"lead-acid", energy::BatteryTechnology::kLeadAcid}};
+
+/// Grid and workload presets are factories; the built config carries
+/// its preset's name (GridConfig::profile, WorkloadSpec::preset).
+using GridPreset = energy::GridConfig (*)();
+const Named<GridPreset> kGridProfiles[] = {
+    {"flat", [] { return energy::GridConfig::flat(); }},
+    {"wind-heavy", &energy::GridConfig::wind_heavy},
+    {"solar-heavy", &energy::GridConfig::solar_heavy}};
+
+using WorkloadPreset = workload::WorkloadSpec (*)(int, std::uint64_t);
+const Named<WorkloadPreset> kWorkloadPresets[] = {
+    {"canonical", &workload::WorkloadSpec::canonical},
+    {"read-heavy", &workload::WorkloadSpec::read_heavy},
+    {"backup-heavy", &workload::WorkloadSpec::backup_heavy}};
+
+/// A key whose value is one of `list`'s names: applying hands the
+/// named value to `set`, and `echo` states the current name.
+template <typename V, std::size_t N>
+ConfigKey choice_key(
+    std::string name, const Named<V> (&list)[N],
+    std::function<void(ExperimentConfig&, V)> set,
+    std::function<std::optional<std::string>(const ExperimentConfig&)>
+        echo) {
+  const std::span<const Named<V>> names(list);
+  return {std::move(name), KeyType::kChoice, choice_names(names), {},
+          [names, set](ExperimentConfig& c, const std::string& v) {
+            set(c, lookup(names, v));
+          },
+          std::move(echo)};
+}
+
+/// A choice key bound to one enum field.
+template <typename Field, typename V, std::size_t N>
+ConfigKey enum_key(std::string name, Field field,
+                   const Named<V> (&list)[N]) {
+  return choice_key<V>(
+      std::move(name), list,
+      [field](ExperimentConfig& c, V v) { field(c) = v; },
+      [field, &list](const ExperimentConfig& c)
+          -> std::optional<std::string> {
+        return name_of<V>(list, field(c));
+      });
+}
+
+// -------------------------------------------------------- special keys
+
+/// Rebuilds the battery from its technology's preset at `kwh`. The
+/// preset resets every battery field, so the configured initial state
+/// of charge is carried over (battery.initial_soc follows in the
+/// table and may override it).
+void rebuild_battery(ExperimentConfig& c, energy::BatteryTechnology tech,
+                     double kwh) {
+  const double initial_soc = c.battery.initial_soc_fraction;
+  switch (tech) {
+    case energy::BatteryTechnology::kLeadAcid:
+      c.battery = energy::BatteryConfig::lead_acid(kwh_to_j(kwh));
+      break;
+    case energy::BatteryTechnology::kLithiumIon:
+      c.battery = energy::BatteryConfig::lithium_ion(kwh_to_j(kwh));
+      break;
+    case energy::BatteryTechnology::kCustom:
+      c.battery = energy::BatteryConfig::ideal(kwh_to_j(kwh));
+      break;
+  }
+  c.battery.initial_soc_fraction = initial_soc;
 }
 
 /// failures.events value: `node@fail_s@recover_s` entries separated by
@@ -78,20 +241,13 @@ std::vector<NodeFailureEvent> parse_failure_events(
     const auto second =
         first == std::string::npos ? first : entry.find('@', first + 1);
     if (second == std::string::npos)
-      throw InvalidArgument(
-          "failures.events entry must be node@fail_s@recover_s: '" +
-          entry + "'");
+      throw InvalidArgument("entry must be node@fail_s@recover_s: '" +
+                            entry + "'");
     NodeFailureEvent e;
-    try {
-      e.node = static_cast<storage::NodeId>(
-          std::stoul(entry.substr(0, first)));
-      e.fail_at = static_cast<SimTime>(
-          std::stoll(entry.substr(first + 1, second - first - 1)));
-      e.recover_at =
-          static_cast<SimTime>(std::stoll(entry.substr(second + 1)));
-    } catch (const std::exception&) {
-      throw InvalidArgument("bad failures.events entry: '" + entry + "'");
-    }
+    e.node = parse_integer<storage::NodeId>(entry.substr(0, first));
+    e.fail_at =
+        parse_integer<SimTime>(entry.substr(first + 1, second - first - 1));
+    e.recover_at = parse_integer<SimTime>(entry.substr(second + 1));
     events.push_back(e);
   }
   return events;
@@ -108,210 +264,220 @@ std::string echo_failure_events(
   return os.str();
 }
 
+/// Echoes `key` only while `enabled(config)`. A config where it is
+/// false echoes nothing for the key, and replaying that echo leaves
+/// the key at its default, so echo → apply → echo stays a fixed point.
+ConfigKey echo_if(bool (*enabled)(const ExperimentConfig&), ConfigKey key) {
+  key.echo = [enabled, echo = std::move(key.echo)](
+                 const ExperimentConfig& c) -> std::optional<std::string> {
+    if (!enabled(c)) return std::nullopt;
+    return echo(c);
+  };
+  return key;
+}
+
+/// Open-system keys are echoed only when the mode is on, so closed-loop
+/// echoes (and the goldens that pin them) carry no arrivals.* or
+/// admission.* keys.
+bool open_system(const ExperimentConfig& c) { return c.arrivals.enabled; }
+
+std::vector<ConfigKey> build_config_keys() {
+  using energy::BatteryTechnology;
+  return {
+      field_key("cluster.racks", GM_FIELD(cluster.racks)),
+      field_key("cluster.nodes_per_rack", GM_FIELD(cluster.nodes_per_rack)),
+      field_key("cluster.replication",
+                GM_FIELD(cluster.placement.replication)),
+      field_key("cluster.groups", GM_FIELD(cluster.placement.group_count)),
+      field_key("cluster.task_slots", GM_FIELD(cluster.node.task_slots)),
+
+      // The preset rebuilds the whole workload (keeping days and
+      // seed), so it precedes the workload keys that refine it.
+      choice_key<WorkloadPreset>(
+          "workload.preset", kWorkloadPresets,
+          [](ExperimentConfig& c, WorkloadPreset build) {
+            c.workload = build(c.workload.duration_days, c.workload.seed);
+          },
+          [](const ExperimentConfig& c) -> std::optional<std::string> {
+            if (c.workload.preset == kWorkloadPresets[0].name)
+              return std::nullopt;
+            return c.workload.preset;
+          }),
+      field_key("workload.days", GM_FIELD(workload.duration_days)),
+      field_key("workload.seed", GM_FIELD(workload.seed)),
+      field_key("workload.foreground_rate",
+                GM_FIELD(workload.foreground.base_rate_per_s)),
+      field_key("workload.task_scale", GM_FIELD(workload.task_scale)),
+
+      field_key("solar.panel_area_m2", GM_FIELD(panel_area_m2)),
+      field_key("solar.latitude_deg", GM_FIELD(solar.latitude_deg)),
+      field_key("solar.seed", GM_FIELD(solar.seed)),
+      field_key("solar.horizon_days", GM_FIELD(solar.horizon_days)),
+      echo_if([](const ExperimentConfig& c) {
+                return !c.solar_trace_csv.empty();
+              },
+              field_key("solar.trace_csv", GM_FIELD(solar_trace_csv),
+                        "hourly watts, one per line; replaces the "
+                        "synthetic solar model")),
+      field_key("wind.enabled", GM_FIELD(use_wind)),
+      {"wind.rated_kw", KeyType::kNumber, {}, {},
+       [](ExperimentConfig& c, const std::string& v) {
+         c.wind.rated_power_w = csv_to_double(v) * 1000.0;
+       },
+       [](const ExperimentConfig& c) -> std::optional<std::string> {
+         return echo_num(c.wind.rated_power_w / 1000.0);
+       }},
+      field_key("wind.horizon_days", GM_FIELD(wind.horizon_days)),
+
+      // Both rebuild the battery from its technology's preset.
+      // Technology goes first, so with both keys the capacity comes
+      // straight from battery.kwh; initial_soc follows them.
+      choice_key<BatteryTechnology>(
+          "battery.technology", kBatteryTechnologies,
+          [](ExperimentConfig& c, BatteryTechnology tech) {
+            rebuild_battery(c, tech, j_to_kwh(c.battery.capacity_j));
+          },
+          [](const ExperimentConfig& c) -> std::optional<std::string> {
+            return name_of<BatteryTechnology>(kBatteryTechnologies,
+                                              c.battery.technology);
+          }),
+      {"battery.kwh", KeyType::kNumber, {}, {},
+       [](ExperimentConfig& c, const std::string& v) {
+         rebuild_battery(c, c.battery.technology, csv_to_double(v));
+       },
+       [](const ExperimentConfig& c) -> std::optional<std::string> {
+         return echo_num(j_to_kwh(c.battery.capacity_j));
+       }},
+      field_key("battery.initial_soc",
+                GM_FIELD(battery.initial_soc_fraction)),
+
+      enum_key("policy.kind", GM_FIELD(policy.kind), kPolicyKinds),
+      field_key("policy.deferral", GM_FIELD(policy.deferral_fraction)),
+      field_key("policy.horizon", GM_FIELD(policy.horizon_slots)),
+      field_key("policy.battery_aware", GM_FIELD(policy.battery_aware)),
+      field_key("policy.carbon_aware", GM_FIELD(policy.carbon_aware)),
+      choice_key<GridPreset>(
+          "grid.profile", kGridProfiles,
+          [](ExperimentConfig& c, GridPreset build) { c.grid = build(); },
+          [](const ExperimentConfig& c) -> std::optional<std::string> {
+            return c.grid.profile;
+          }),
+      field_key("policy.window_start_h", GM_FIELD(policy.window_start_h)),
+      field_key("policy.window_end_h", GM_FIELD(policy.window_end_h)),
+      field_key("scheduler.shards", GM_FIELD(policy.shards),
+                "placement-group scheduling shards (1 = flat planner)"),
+
+      enum_key("sim.fidelity", GM_FIELD(fidelity), kFidelities),
+      field_key("sim.slot_seconds", GM_FIELD(slot_length_s)),
+      field_key("sim.dwell_slots", GM_FIELD(min_dwell_slots)),
+      field_key("sim.drain_slots", GM_FIELD(max_drain_slots)),
+      field_key("sim.dvfs_eco_speed", GM_FIELD(dvfs_eco_speed)),
+      field_key("sim.maid", GM_FIELD(maid_enabled)),
+      field_key("sim.maid_min_disks", GM_FIELD(maid_min_spinning_disks)),
+      field_key("forecast.noisy", GM_FIELD(noisy_forecast)),
+      field_key("forecast.error_at_1h",
+                GM_FIELD(forecast_noise.error_at_1h)),
+      field_key("forecast.error_cap", GM_FIELD(forecast_noise.error_cap)),
+      field_key("forecast.bias_at_1h", GM_FIELD(forecast_noise.bias_at_1h)),
+      field_key("forecast.ar1_rho", GM_FIELD(forecast_noise.ar1_rho)),
+      field_key("forecast.seed", GM_FIELD(forecast_noise.seed)),
+
+      echo_if(open_system,
+              field_key("arrivals.enabled", GM_FIELD(arrivals.enabled),
+                        "open-system mode; arrivals.* and admission.* "
+                        "are echoed only when true")),
+      echo_if(open_system, field_key("arrivals.rate_per_h",
+                                     GM_FIELD(arrivals.rate_per_h))),
+      echo_if(open_system,
+              field_key("arrivals.seed", GM_FIELD(arrivals.seed))),
+      echo_if(open_system, field_key("arrivals.mean_work_s",
+                                     GM_FIELD(arrivals.mean_work_s))),
+      echo_if(open_system, field_key("arrivals.work_sigma",
+                                     GM_FIELD(arrivals.work_sigma))),
+      echo_if(open_system, field_key("arrivals.deadline_slack_s",
+                                     GM_FIELD(arrivals.deadline_slack_s))),
+      echo_if(open_system, field_key("arrivals.utilization",
+                                     GM_FIELD(arrivals.utilization))),
+      echo_if(open_system,
+              field_key("arrivals.diurnal", GM_FIELD(arrivals.diurnal))),
+      echo_if(open_system, field_key("admission.horizon",
+                                     GM_FIELD(admission.horizon_slots))),
+      echo_if(open_system,
+              field_key("admission.battery_reserve_soc",
+                        GM_FIELD(admission.battery_reserve_soc))),
+      echo_if(open_system, enum_key("admission.overflow",
+                                    GM_FIELD(admission.overflow),
+                                    kOverflows)),
+
+      {"failures.events", KeyType::kText, {},
+       "node@fail_s@recover_s;... (recover_s 0 = never)",
+       [](ExperimentConfig& c, const std::string& v) {
+         c.node_failures = parse_failure_events(v);
+       },
+       [](const ExperimentConfig& c) -> std::optional<std::string> {
+         if (c.node_failures.empty()) return std::nullopt;
+         return echo_failure_events(c.node_failures);
+       }},
+      field_key("failures.repair_rate_bytes_per_s",
+                GM_FIELD(repair_rate_bytes_per_s)),
+      field_key("failures.repair_deadline_s", GM_FIELD(repair_deadline_s)),
+
+      enum_key("scenario.failure_process",
+               GM_FIELD(scenario.failures.process), kFailureProcesses),
+      field_key("scenario.mtbf_hours",
+                GM_FIELD(scenario.failures.mtbf_hours)),
+      field_key("scenario.weibull_shape",
+                GM_FIELD(scenario.failures.weibull_shape)),
+      field_key("scenario.mttr_hours",
+                GM_FIELD(scenario.failures.mttr_hours)),
+      field_key("scenario.failure_seed", GM_FIELD(scenario.failures.seed)),
+      field_key("scenario.spike_rate_per_day",
+                GM_FIELD(scenario.grid_spikes.rate_per_day)),
+      field_key("scenario.spike_duration_h",
+                GM_FIELD(scenario.grid_spikes.duration_h)),
+      field_key("scenario.spike_carbon_x",
+                GM_FIELD(scenario.grid_spikes.carbon_multiplier)),
+      field_key("scenario.spike_price_x",
+                GM_FIELD(scenario.grid_spikes.price_multiplier)),
+      field_key("scenario.spike_seed", GM_FIELD(scenario.grid_spikes.seed)),
+      field_key("scenario.curtail_rate_per_day",
+                GM_FIELD(scenario.curtailment.rate_per_day)),
+      field_key("scenario.curtail_duration_h",
+                GM_FIELD(scenario.curtailment.duration_h)),
+      field_key("scenario.curtail_supply_fraction",
+                GM_FIELD(scenario.curtailment.supply_fraction)),
+      field_key("scenario.curtail_seed",
+                GM_FIELD(scenario.curtailment.seed)),
+  };
+}
+
+#undef GM_FIELD
+
 }  // namespace
 
+const std::vector<ConfigKey>& config_keys() {
+  static const std::vector<ConfigKey> keys = build_config_keys();
+  return keys;
+}
+
+PolicyKind parse_policy_kind(const std::string& name) {
+  return lookup<PolicyKind>(kPolicyKinds, name);
+}
+
+const char* policy_kind_name(PolicyKind kind) {
+  return name_of<PolicyKind>(kPolicyKinds, kind);
+}
+
 void apply_config(ExperimentConfig& config, const KeyValueConfig& kv) {
-  // --- cluster -------------------------------------------------------
-  config.cluster.racks = static_cast<int>(
-      kv.get_int_or("cluster.racks", config.cluster.racks));
-  config.cluster.nodes_per_rack = static_cast<int>(kv.get_int_or(
-      "cluster.nodes_per_rack", config.cluster.nodes_per_rack));
-  config.cluster.placement.replication = static_cast<int>(kv.get_int_or(
-      "cluster.replication", config.cluster.placement.replication));
-  config.cluster.placement.group_count =
-      static_cast<std::uint32_t>(kv.get_int_or(
-          "cluster.groups", config.cluster.placement.group_count));
-  config.cluster.node.task_slots = static_cast<int>(kv.get_int_or(
-      "cluster.task_slots", config.cluster.node.task_slots));
-
-  // --- workload ------------------------------------------------------
-  const int days = static_cast<int>(
-      kv.get_int_or("workload.days", config.workload.duration_days));
-  const auto seed = static_cast<std::uint64_t>(
-      kv.get_int_or("workload.seed",
-                    static_cast<std::int64_t>(config.workload.seed)));
-  if (const auto preset = kv.get_string("workload.preset")) {
-    config.workload = parse_workload_preset(*preset, days, seed);
-  } else {
-    config.workload.duration_days = days;
-    config.workload.seed = seed;
+  for (const ConfigKey& key : config_keys()) {
+    const auto value = kv.get_string(key.name);
+    if (!value) continue;
+    try {
+      key.apply(config, *value);
+    } catch (const InvalidArgument& e) {
+      throw InvalidArgument("config key '" + key.name + "': " + e.what());
+    }
   }
-  config.workload.foreground.base_rate_per_s =
-      kv.get_double_or("workload.foreground_rate",
-                       config.workload.foreground.base_rate_per_s);
-  config.workload.task_scale = kv.get_double_or(
-      "workload.task_scale", config.workload.task_scale);
-
-  // --- supply --------------------------------------------------------
-  config.panel_area_m2 =
-      kv.get_double_or("solar.panel_area_m2", config.panel_area_m2);
-  config.solar.latitude_deg =
-      kv.get_double_or("solar.latitude_deg", config.solar.latitude_deg);
-  config.solar.seed = static_cast<std::uint64_t>(kv.get_int_or(
-      "solar.seed", static_cast<std::int64_t>(config.solar.seed)));
-  config.solar.horizon_days = static_cast<int>(kv.get_int_or(
-      "solar.horizon_days", config.solar.horizon_days));
-  config.solar_trace_csv =
-      kv.get_string_or("solar.trace_csv", config.solar_trace_csv);
-  config.use_wind = kv.get_bool_or("wind.enabled", config.use_wind);
-  config.wind.rated_power_w =
-      kv.get_double_or("wind.rated_kw",
-                       config.wind.rated_power_w / 1000.0) *
-      1000.0;
-  config.wind.horizon_days = static_cast<int>(kv.get_int_or(
-      "wind.horizon_days", config.wind.horizon_days));
-
-  // --- battery -------------------------------------------------------
-  // Rebuilding from the preset resets every battery field, so the
-  // defaults must come from the *incoming* config, not the freshly
-  // built preset: the technology via its echo spelling (kCustom/ideal
-  // must survive a re-apply) and the initial SoC captured before the
-  // rebuild overwrites it.
-  const double battery_kwh = kv.get_double_or(
-      "battery.kwh", j_to_kwh(config.battery.capacity_j));
-  const std::string technology = kv.get_string_or(
-      "battery.technology", echo_battery_technology(config.battery));
-  const double prior_initial_soc = config.battery.initial_soc_fraction;
-  config.battery = parse_battery(technology, battery_kwh);
-  config.battery.initial_soc_fraction = kv.get_double_or(
-      "battery.initial_soc", prior_initial_soc);
-
-  // --- policy --------------------------------------------------------
-  if (const auto kind = kv.get_string("policy.kind"))
-    config.policy.kind = parse_policy_kind(*kind);
-  config.policy.deferral_fraction = kv.get_double_or(
-      "policy.deferral", config.policy.deferral_fraction);
-  config.policy.horizon_slots = static_cast<int>(kv.get_int_or(
-      "policy.horizon", config.policy.horizon_slots));
-  config.policy.battery_aware = kv.get_bool_or(
-      "policy.battery_aware", config.policy.battery_aware);
-  config.policy.carbon_aware = kv.get_bool_or(
-      "policy.carbon_aware", config.policy.carbon_aware);
-  if (const auto profile = kv.get_string("grid.profile")) {
-    if (*profile == "flat")
-      config.grid = energy::GridConfig::flat();
-    else if (*profile == "wind-heavy")
-      config.grid = energy::GridConfig::wind_heavy();
-    else if (*profile == "solar-heavy")
-      config.grid = energy::GridConfig::solar_heavy();
-    else
-      throw InvalidArgument("unknown grid profile: '" + *profile + "'");
-  }
-  config.policy.window_start_h = kv.get_double_or(
-      "policy.window_start_h", config.policy.window_start_h);
-  config.policy.window_end_h = kv.get_double_or(
-      "policy.window_end_h", config.policy.window_end_h);
-  config.policy.shards = static_cast<int>(
-      kv.get_int_or("scheduler.shards", config.policy.shards));
-
-  // --- simulation ----------------------------------------------------
-  if (const auto fidelity = kv.get_string("sim.fidelity")) {
-    if (*fidelity == "slot")
-      config.fidelity = Fidelity::kSlotLevel;
-    else if (*fidelity == "event")
-      config.fidelity = Fidelity::kEventLevel;
-    else
-      throw InvalidArgument("sim.fidelity must be 'slot' or 'event'");
-  }
-  config.slot_length_s =
-      kv.get_int_or("sim.slot_seconds", config.slot_length_s);
-  config.min_dwell_slots = static_cast<int>(
-      kv.get_int_or("sim.dwell_slots", config.min_dwell_slots));
-  config.max_drain_slots = static_cast<int>(
-      kv.get_int_or("sim.drain_slots", config.max_drain_slots));
-  config.dvfs_eco_speed =
-      kv.get_double_or("sim.dvfs_eco_speed", config.dvfs_eco_speed);
-  config.maid_enabled = kv.get_bool_or("sim.maid", config.maid_enabled);
-  config.maid_min_spinning_disks = static_cast<int>(kv.get_int_or(
-      "sim.maid_min_disks", config.maid_min_spinning_disks));
-  config.noisy_forecast =
-      kv.get_bool_or("forecast.noisy", config.noisy_forecast);
-  config.forecast_noise.error_at_1h = kv.get_double_or(
-      "forecast.error_at_1h", config.forecast_noise.error_at_1h);
-  config.forecast_noise.error_cap = kv.get_double_or(
-      "forecast.error_cap", config.forecast_noise.error_cap);
-  config.forecast_noise.bias_at_1h = kv.get_double_or(
-      "forecast.bias_at_1h", config.forecast_noise.bias_at_1h);
-  config.forecast_noise.ar1_rho = kv.get_double_or(
-      "forecast.ar1_rho", config.forecast_noise.ar1_rho);
-  config.forecast_noise.seed = static_cast<std::uint64_t>(kv.get_int_or(
-      "forecast.seed",
-      static_cast<std::int64_t>(config.forecast_noise.seed)));
-
-  // --- open-system arrivals & admission ------------------------------
-  auto& ar = config.arrivals;
-  ar.enabled = kv.get_bool_or("arrivals.enabled", ar.enabled);
-  ar.rate_per_h = kv.get_double_or("arrivals.rate_per_h", ar.rate_per_h);
-  ar.seed = static_cast<std::uint64_t>(kv.get_int_or(
-      "arrivals.seed", static_cast<std::int64_t>(ar.seed)));
-  ar.mean_work_s =
-      kv.get_double_or("arrivals.mean_work_s", ar.mean_work_s);
-  ar.work_sigma = kv.get_double_or("arrivals.work_sigma", ar.work_sigma);
-  ar.deadline_slack_s = kv.get_double_or("arrivals.deadline_slack_s",
-                                         ar.deadline_slack_s);
-  ar.utilization =
-      kv.get_double_or("arrivals.utilization", ar.utilization);
-  ar.diurnal = kv.get_bool_or("arrivals.diurnal", ar.diurnal);
-  auto& ad = config.admission;
-  ad.horizon_slots = static_cast<int>(
-      kv.get_int_or("admission.horizon", ad.horizon_slots));
-  ad.battery_reserve_soc = kv.get_double_or(
-      "admission.battery_reserve_soc", ad.battery_reserve_soc);
-  if (const auto overflow = kv.get_string("admission.overflow")) {
-    if (*overflow == "grid")
-      ad.overflow = AdmissionOverflow::kGrid;
-    else if (*overflow == "reject")
-      ad.overflow = AdmissionOverflow::kReject;
-    else
-      throw InvalidArgument("admission.overflow must be 'grid' or "
-                            "'reject', got '" +
-                            *overflow + "'");
-  }
-
-  // --- failure injection ---------------------------------------------
-  if (const auto events = kv.get_string("failures.events"))
-    config.node_failures = parse_failure_events(*events);
-  config.repair_rate_bytes_per_s =
-      kv.get_double_or("failures.repair_rate_bytes_per_s",
-                       config.repair_rate_bytes_per_s);
-  config.repair_deadline_s = kv.get_double_or(
-      "failures.repair_deadline_s", config.repair_deadline_s);
-
-  // --- scenario processes --------------------------------------------
-  auto& sc = config.scenario;
-  if (const auto process = kv.get_string("scenario.failure_process"))
-    sc.failures.process = parse_failure_process(*process);
-  sc.failures.mtbf_hours =
-      kv.get_double_or("scenario.mtbf_hours", sc.failures.mtbf_hours);
-  sc.failures.weibull_shape = kv.get_double_or(
-      "scenario.weibull_shape", sc.failures.weibull_shape);
-  sc.failures.mttr_hours =
-      kv.get_double_or("scenario.mttr_hours", sc.failures.mttr_hours);
-  sc.failures.seed = static_cast<std::uint64_t>(kv.get_int_or(
-      "scenario.failure_seed",
-      static_cast<std::int64_t>(sc.failures.seed)));
-  sc.grid_spikes.rate_per_day = kv.get_double_or(
-      "scenario.spike_rate_per_day", sc.grid_spikes.rate_per_day);
-  sc.grid_spikes.duration_h = kv.get_double_or(
-      "scenario.spike_duration_h", sc.grid_spikes.duration_h);
-  sc.grid_spikes.carbon_multiplier = kv.get_double_or(
-      "scenario.spike_carbon_x", sc.grid_spikes.carbon_multiplier);
-  sc.grid_spikes.price_multiplier = kv.get_double_or(
-      "scenario.spike_price_x", sc.grid_spikes.price_multiplier);
-  sc.grid_spikes.seed = static_cast<std::uint64_t>(kv.get_int_or(
-      "scenario.spike_seed",
-      static_cast<std::int64_t>(sc.grid_spikes.seed)));
-  sc.curtailment.rate_per_day = kv.get_double_or(
-      "scenario.curtail_rate_per_day", sc.curtailment.rate_per_day);
-  sc.curtailment.duration_h = kv.get_double_or(
-      "scenario.curtail_duration_h", sc.curtailment.duration_h);
-  sc.curtailment.supply_fraction =
-      kv.get_double_or("scenario.curtail_supply_fraction",
-                       sc.curtailment.supply_fraction);
-  sc.curtailment.seed = static_cast<std::uint64_t>(kv.get_int_or(
-      "scenario.curtail_seed",
-      static_cast<std::int64_t>(sc.curtailment.seed)));
-
   const auto unknown = kv.unconsumed_keys();
   if (!unknown.empty()) {
     std::ostringstream os;
@@ -328,164 +494,31 @@ ExperimentConfig config_from_file(const std::string& path) {
   return config;
 }
 
-namespace {
-
-std::string echo_num(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string echo_bool(bool v) { return v ? "true" : "false"; }
-
-}  // namespace
-
 std::vector<std::pair<std::string, std::string>> config_echo(
-    const ExperimentConfig& c) {
+    const ExperimentConfig& config) {
   std::vector<std::pair<std::string, std::string>> kv;
-  const auto add = [&kv](const std::string& k, const std::string& v) {
-    kv.emplace_back(k, v);
-  };
-  add("cluster.racks", std::to_string(c.cluster.racks));
-  add("cluster.nodes_per_rack",
-      std::to_string(c.cluster.nodes_per_rack));
-  add("cluster.replication",
-      std::to_string(c.cluster.placement.replication));
-  add("cluster.groups", std::to_string(c.cluster.placement.group_count));
-  add("cluster.task_slots", std::to_string(c.cluster.node.task_slots));
-  add("workload.days", std::to_string(c.workload.duration_days));
-  add("workload.seed", std::to_string(c.workload.seed));
-  add("workload.foreground_rate",
-      echo_num(c.workload.foreground.base_rate_per_s));
-  add("workload.task_scale", echo_num(c.workload.task_scale));
-  add("solar.panel_area_m2", echo_num(c.panel_area_m2));
-  add("solar.latitude_deg", echo_num(c.solar.latitude_deg));
-  add("solar.seed", std::to_string(c.solar.seed));
-  add("solar.horizon_days", std::to_string(c.solar.horizon_days));
-  if (!c.solar_trace_csv.empty())
-    add("solar.trace_csv", c.solar_trace_csv);
-  add("wind.enabled", echo_bool(c.use_wind));
-  add("wind.rated_kw", echo_num(c.wind.rated_power_w / 1000.0));
-  add("wind.horizon_days", std::to_string(c.wind.horizon_days));
-  add("battery.technology", echo_battery_technology(c.battery));
-  add("battery.kwh", echo_num(j_to_kwh(c.battery.capacity_j)));
-  add("battery.initial_soc", echo_num(c.battery.initial_soc_fraction));
-  add("policy.kind", policy_kind_name(c.policy.kind));
-  add("policy.deferral", echo_num(c.policy.deferral_fraction));
-  add("policy.horizon", std::to_string(c.policy.horizon_slots));
-  add("policy.battery_aware", echo_bool(c.policy.battery_aware));
-  add("policy.carbon_aware", echo_bool(c.policy.carbon_aware));
-  add("grid.profile", c.grid.profile);
-  add("policy.window_start_h", echo_num(c.policy.window_start_h));
-  add("policy.window_end_h", echo_num(c.policy.window_end_h));
-  add("scheduler.shards", std::to_string(c.policy.shards));
-  add("sim.fidelity",
-      c.fidelity == Fidelity::kEventLevel ? "event" : "slot");
-  add("sim.slot_seconds", std::to_string(c.slot_length_s));
-  add("sim.dwell_slots", std::to_string(c.min_dwell_slots));
-  add("sim.drain_slots", std::to_string(c.max_drain_slots));
-  add("sim.dvfs_eco_speed", echo_num(c.dvfs_eco_speed));
-  add("sim.maid", echo_bool(c.maid_enabled));
-  add("sim.maid_min_disks", std::to_string(c.maid_min_spinning_disks));
-  add("forecast.noisy", echo_bool(c.noisy_forecast));
-  add("forecast.error_at_1h", echo_num(c.forecast_noise.error_at_1h));
-  add("forecast.error_cap", echo_num(c.forecast_noise.error_cap));
-  add("forecast.bias_at_1h", echo_num(c.forecast_noise.bias_at_1h));
-  add("forecast.ar1_rho", echo_num(c.forecast_noise.ar1_rho));
-  add("forecast.seed", std::to_string(c.forecast_noise.seed));
-  // Open-system keys are echoed only when the mode is on: closed-loop
-  // echoes (and the goldens that pin them) stay byte-identical to
-  // pre-arrival releases, same convention as solar.trace_csv and
-  // failures.events. The round-trip fixed point holds either way —
-  // a disabled config echoes nothing and re-applies to the defaults.
-  if (c.arrivals.enabled) {
-    add("arrivals.enabled", echo_bool(c.arrivals.enabled));
-    add("arrivals.rate_per_h", echo_num(c.arrivals.rate_per_h));
-    add("arrivals.seed", std::to_string(c.arrivals.seed));
-    add("arrivals.mean_work_s", echo_num(c.arrivals.mean_work_s));
-    add("arrivals.work_sigma", echo_num(c.arrivals.work_sigma));
-    add("arrivals.deadline_slack_s",
-        echo_num(c.arrivals.deadline_slack_s));
-    add("arrivals.utilization", echo_num(c.arrivals.utilization));
-    add("arrivals.diurnal", echo_bool(c.arrivals.diurnal));
-    add("admission.horizon", std::to_string(c.admission.horizon_slots));
-    add("admission.battery_reserve_soc",
-        echo_num(c.admission.battery_reserve_soc));
-    add("admission.overflow",
-        c.admission.overflow == AdmissionOverflow::kReject ? "reject"
-                                                           : "grid");
-  }
-  if (!c.node_failures.empty())
-    add("failures.events", echo_failure_events(c.node_failures));
-  add("failures.repair_rate_bytes_per_s",
-      echo_num(c.repair_rate_bytes_per_s));
-  add("failures.repair_deadline_s", echo_num(c.repair_deadline_s));
-  add("scenario.failure_process",
-      scenario::failure_process_name(c.scenario.failures.process));
-  add("scenario.mtbf_hours", echo_num(c.scenario.failures.mtbf_hours));
-  add("scenario.weibull_shape",
-      echo_num(c.scenario.failures.weibull_shape));
-  add("scenario.mttr_hours", echo_num(c.scenario.failures.mttr_hours));
-  add("scenario.failure_seed",
-      std::to_string(c.scenario.failures.seed));
-  add("scenario.spike_rate_per_day",
-      echo_num(c.scenario.grid_spikes.rate_per_day));
-  add("scenario.spike_duration_h",
-      echo_num(c.scenario.grid_spikes.duration_h));
-  add("scenario.spike_carbon_x",
-      echo_num(c.scenario.grid_spikes.carbon_multiplier));
-  add("scenario.spike_price_x",
-      echo_num(c.scenario.grid_spikes.price_multiplier));
-  add("scenario.spike_seed",
-      std::to_string(c.scenario.grid_spikes.seed));
-  add("scenario.curtail_rate_per_day",
-      echo_num(c.scenario.curtailment.rate_per_day));
-  add("scenario.curtail_duration_h",
-      echo_num(c.scenario.curtailment.duration_h));
-  add("scenario.curtail_supply_fraction",
-      echo_num(c.scenario.curtailment.supply_fraction));
-  add("scenario.curtail_seed",
-      std::to_string(c.scenario.curtailment.seed));
+  for (const ConfigKey& key : config_keys())
+    if (auto value = key.echo(config))
+      kv.emplace_back(key.name, std::move(*value));
   return kv;
 }
 
 std::string config_keys_help() {
-  return
-      "cluster.racks, cluster.nodes_per_rack, cluster.replication,\n"
-      "cluster.groups, cluster.task_slots\n"
-      "workload.preset (canonical|read-heavy|backup-heavy),\n"
-      "workload.days, workload.seed, workload.foreground_rate,\n"
-      "workload.task_scale\n"
-      "solar.panel_area_m2, solar.latitude_deg, solar.seed,\n"
-      "solar.horizon_days, solar.trace_csv\n"
-      "wind.enabled, wind.rated_kw, wind.horizon_days\n"
-      "battery.technology (li|la|ideal), battery.kwh,\n"
-      "battery.initial_soc\n"
-      "policy.kind (asap|opportunistic|greenmatch|greenmatch-greedy|\n"
-      "night-shift), policy.deferral, policy.horizon,\n"
-      "policy.battery_aware, policy.carbon_aware, policy.window_start_h,\n"
-      "policy.window_end_h, grid.profile (flat|wind-heavy|solar-heavy)\n"
-      "scheduler.shards (placement-group scheduling shards, default 1)\n"
-      "sim.fidelity (slot|event), sim.slot_seconds, sim.dwell_slots,\n"
-      "sim.drain_slots, sim.dvfs_eco_speed, sim.maid, sim.maid_min_disks\n"
-      "arrivals.enabled, arrivals.rate_per_h, arrivals.seed,\n"
-      "arrivals.mean_work_s, arrivals.work_sigma,\n"
-      "arrivals.deadline_slack_s, arrivals.utilization, arrivals.diurnal\n"
-      "admission.horizon, admission.battery_reserve_soc,\n"
-      "admission.overflow (grid|reject)\n"
-      "forecast.noisy, forecast.error_at_1h, forecast.error_cap,\n"
-      "forecast.bias_at_1h, forecast.ar1_rho, forecast.seed\n"
-      "failures.events (node@fail_s@recover_s;... recover 0 = never),\n"
-      "failures.repair_rate_bytes_per_s, failures.repair_deadline_s\n"
-      "scenario.failure_process (none|poisson|weibull),\n"
-      "scenario.mtbf_hours, scenario.weibull_shape, scenario.mttr_hours,\n"
-      "scenario.failure_seed\n"
-      "scenario.spike_rate_per_day, scenario.spike_duration_h,\n"
-      "scenario.spike_carbon_x, scenario.spike_price_x,\n"
-      "scenario.spike_seed\n"
-      "scenario.curtail_rate_per_day, scenario.curtail_duration_h,\n"
-      "scenario.curtail_supply_fraction, scenario.curtail_seed\n";
+  std::ostringstream os;
+  for (const ConfigKey& key : config_keys()) {
+    std::string type;
+    switch (key.type) {
+      case KeyType::kInteger: type = "integer"; break;
+      case KeyType::kNumber: type = "number"; break;
+      case KeyType::kBool: type = "bool"; break;
+      case KeyType::kChoice: type = join(key.choices, "|"); break;
+      case KeyType::kText: type = "text"; break;
+    }
+    os << "  " << std::left << std::setw(34) << key.name << type;
+    if (!key.note.empty()) os << "  " << key.note;
+    os << '\n';
+  }
+  return os.str();
 }
 
 }  // namespace gm::core

@@ -988,7 +988,6 @@ RunArtifacts SimulationEngine::finalize() {
   if (const auto* gm =
           dynamic_cast<const GreenMatchPolicy*>(policy_.get())) {
     r.scheduler.plan_solve_ms_total = gm->solve_ms_total();
-    r.scheduler.plan_cache_hits = gm->plan_cache_hits();
     r.scheduler.warm_accepts = gm->warm_accepts();
     r.scheduler.warm_rejects = gm->warm_rejects();
     const auto totals = gm->solver_totals();
@@ -1036,8 +1035,6 @@ RunArtifacts SimulationEngine::finalize() {
     if (r.scheduler.solver_solves > 0 || r.scheduler.warm_accepts > 0 ||
         r.scheduler.warm_rejects > 0) {
       m.counter_set("planner.solves", r.scheduler.solver_solves);
-      m.counter_set("planner.plan_cache_hits",
-                    r.scheduler.plan_cache_hits);
       m.counter_set("planner.warm_accepts", r.scheduler.warm_accepts);
       m.counter_set("planner.warm_rejects", r.scheduler.warm_rejects);
       m.counter_set("planner.dijkstra_runs",

@@ -81,11 +81,9 @@ unsigned long long pack_signature(long long units, std::size_t jmax,
 }  // namespace
 
 GreenMatchPolicy::GreenMatchPolicy(int horizon_slots, bool greedy,
-                                   bool replan_every_slot,
                                    bool battery_aware, bool carbon_aware)
     : horizon_(horizon_slots),
       greedy_(greedy),
-      replan_every_slot_(replan_every_slot),
       battery_aware_(battery_aware),
       carbon_aware_(carbon_aware) {
   GM_CHECK(horizon_slots >= 1, "horizon must be >= 1");
@@ -107,8 +105,7 @@ void GreenMatchPolicy::ensure_shard_planners() {
     shard_planners_.reserve(static_cast<std::size_t>(shards_));
     for (int s = 0; s < shards_; ++s) {
       auto sub = std::make_unique<GreenMatchPolicy>(
-          horizon_, /*greedy=*/false, replan_every_slot_, battery_aware_,
-          carbon_aware_);
+          horizon_, /*greedy=*/false, battery_aware_, carbon_aware_);
       sub->aggregate_ = aggregate_;
       sub->shard_id_ = s;
       shard_planners_.push_back(std::move(sub));
@@ -522,36 +519,6 @@ SlotDecision GreenMatchPolicy::plan_flow(const SlotContext& ctx) {
   decision.target_active_nodes = nodes_for_load(util, count);
   decision.eco_speed = green.empty() || green[0] <= 0;
 
-  if (!replan_every_slot_) {
-    plan_base_ = ctx.slot;
-    plan_offsets_.clear();
-    // Full-plan demux: deal each slot's class flow round-robin over
-    // the members, starting where the previous slot stopped. Per-slot
-    // flow ≤ m keeps the dealt members distinct, and consecutive
-    // dealing bounds any member's load by ⌈flow/m⌉ ≤ units. Slot 0
-    // starts at member 0, matching the run set above.
-    for (const auto& tc : classes_) {
-      if (tc.slot_edge0 < 0) continue;
-      const std::size_t m = tc.members.size();
-      std::size_t rotate = 0;
-      for (std::size_t j = 0; j < tc.jmax; ++j) {
-        const long long f =
-            flow.flow_on(tc.slot_edge0 + static_cast<int>(j));
-        for (long long t = 0; t < f; ++t) {
-          const auto member =
-              tc.members[(rotate + static_cast<std::size_t>(t)) % m];
-          plan_offsets_[ctx.pending[member].task.id].push_back(
-              static_cast<int>(j));
-        }
-        rotate = (rotate + static_cast<std::size_t>(f)) % m;
-      }
-    }
-    // Tasks with no in-horizon assignment still belong to the plan
-    // (deferred beyond the horizon): record them with no offsets.
-    for (const auto& p : ctx.pending)
-      plan_offsets_.try_emplace(p.task.id);
-  }
-
   plan_stats_ = PlanStats{solved.flow,
                           solved.cost,
                           static_cast<int>(n_tasks),
@@ -579,9 +546,11 @@ SlotDecision GreenMatchPolicy::plan_flow(const SlotContext& ctx) {
 
   // Decision provenance: one record per pending task, attributing its
   // fate to the solved network. Opt-in (--provenance) because this
-  // re-deals every class's flow; the demux math mirrors the
-  // plan_offsets_ block above, but records only each member's *first*
-  // assignment and its deal rank.
+  // re-deals every class's whole-horizon flow: each slot's class flow
+  // goes round-robin over the members, starting where the previous
+  // slot stopped (slot 0 starts at member 0, matching the run set
+  // above), and each member's *first* assignment and deal rank are
+  // recorded.
   if (obs::Recorder* rec = obs::current_recorder();
       rec && rec->provenance()) {
     std::vector<int> first_offset;
@@ -775,36 +744,6 @@ SlotDecision GreenMatchPolicy::plan_greedy(const SlotContext& ctx) {
   return decision;
 }
 
-std::optional<SlotDecision> GreenMatchPolicy::cached_decision(
-    const SlotContext& ctx) {
-  if (replan_every_slot_ || greedy_ || plan_base_ < 0) return std::nullopt;
-  const SlotIndex offset = ctx.slot - plan_base_;
-  const SlotIndex replan_interval = std::max(1, horizon_ / 2);
-  if (offset <= 0 || offset >= replan_interval) return std::nullopt;
-  // Any task the plan has not seen invalidates the cache.
-  for (const auto& p : ctx.pending)
-    if (!plan_offsets_.count(p.task.id)) return std::nullopt;
-
-  SlotDecision decision;
-  double util = ctx.foreground_util;
-  int count = 0;
-  for (const auto& p : ctx.pending) {
-    const auto& offsets = plan_offsets_.at(p.task.id);
-    if (std::find(offsets.begin(), offsets.end(),
-                  static_cast<int>(offset)) != offsets.end()) {
-      decision.run_tasks.push_back(p.task.id);
-      util += p.task.utilization;
-      ++count;
-    }
-  }
-  decision.target_active_nodes = nodes_for_load(util, count);
-  decision.eco_speed =
-      !ctx.green_forecast_w.empty() &&
-      ctx.green_forecast_w[0] <= facts_.node_idle_floor_w * 0.01;
-  ++plan_cache_hits_;
-  return decision;
-}
-
 SlotDecision GreenMatchPolicy::plan_sharded(const SlotContext& ctx) {
   GM_OBS_SCOPE("policy.plan_sharded");
   const auto t0 = std::chrono::steady_clock::now();
@@ -918,7 +857,6 @@ SlotDecision GreenMatchPolicy::plan_sharded(const SlotContext& ctx) {
 
 SlotDecision GreenMatchPolicy::decide(const SlotContext& ctx) {
   if (shards_ > 1 && !greedy_) return plan_sharded(ctx);
-  if (auto cached = cached_decision(ctx)) return *cached;
   return greedy_ ? plan_greedy(ctx) : plan_flow(ctx);
 }
 

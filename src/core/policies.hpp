@@ -4,8 +4,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/mincost_flow.hpp"
@@ -77,7 +75,7 @@ class OpportunisticPolicy final : public SchedulerPolicy {
 /// depth (see plan_flow).
 class GreenMatchPolicy final : public SchedulerPolicy {
  public:
-  GreenMatchPolicy(int horizon_slots, bool greedy, bool replan_every_slot,
+  GreenMatchPolicy(int horizon_slots, bool greedy,
                    bool battery_aware = false, bool carbon_aware = false);
   ~GreenMatchPolicy() override;
   const char* name() const override {
@@ -90,13 +88,6 @@ class GreenMatchPolicy final : public SchedulerPolicy {
   /// what the slot actually waited — not the sum of per-shard CPU
   /// (that lives in shard_stats()).
   double solve_ms_total() const { return solve_ms_total_; }
-  /// Slots answered from the cached plan (replan_every_slot = false),
-  /// summed over the per-shard sub-planners when sharded.
-  std::uint64_t plan_cache_hits() const {
-    std::uint64_t hits = plan_cache_hits_;
-    for (const auto& s : shard_planners_) hits += s->plan_cache_hits_;
-    return hits;
-  }
 
   /// Splits planning into `shards` independent subproblems keyed by
   /// placement group (core/shard.hpp), solved in parallel on an
@@ -214,19 +205,12 @@ class GreenMatchPolicy final : public SchedulerPolicy {
   void store_potentials(const SlotContext& ctx, int h, int slot_base,
                         int g_base, int beyond, int sink);
 
-  /// Serves the current slot from the cached multi-slot plan when it
-  /// is still valid (no new tasks since planning, within the replan
-  /// interval). Returns nullopt when a fresh solve is needed.
-  std::optional<SlotDecision> cached_decision(const SlotContext& ctx);
-
   int horizon_;
   bool greedy_;
-  bool replan_every_slot_;
   bool battery_aware_;
   bool carbon_aware_;
   bool aggregate_ = true;
   double solve_ms_total_ = 0.0;
-  std::uint64_t plan_cache_hits_ = 0;
   PlanStats plan_stats_;
   SolverTotals solver_totals_;
 
@@ -283,10 +267,6 @@ class GreenMatchPolicy final : public SchedulerPolicy {
   std::vector<long long> prev_slot_pot_;
   std::vector<long long> prev_g_pot_;
   std::vector<long long> warm_scratch_;
-
-  // Cached plan state (replan_every_slot_ == false).
-  SlotIndex plan_base_ = -1;
-  std::unordered_map<storage::TaskId, std::vector<int>> plan_offsets_;
 };
 
 }  // namespace gm::core

@@ -7,17 +7,6 @@
 
 namespace gm::core {
 
-const char* policy_kind_name(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kAsap: return "asap";
-    case PolicyKind::kOpportunistic: return "opportunistic";
-    case PolicyKind::kGreenMatch: return "greenmatch";
-    case PolicyKind::kGreenMatchGreedy: return "greenmatch-greedy";
-    case PolicyKind::kNightShift: return "night-shift";
-  }
-  return "?";
-}
-
 void PolicyConfig::validate() const {
   GM_CHECK(deferral_fraction >= 0.0 && deferral_fraction <= 1.0,
            "deferral fraction must be in [0, 1]");
@@ -54,8 +43,7 @@ std::unique_ptr<SchedulerPolicy> make_policy(const PolicyConfig& config) {
           config.deferral_fraction, config.seed);
     case PolicyKind::kGreenMatch: {
       auto policy = std::make_unique<GreenMatchPolicy>(
-          config.horizon_slots, /*greedy=*/false,
-          config.replan_every_slot, config.battery_aware,
+          config.horizon_slots, /*greedy=*/false, config.battery_aware,
           config.carbon_aware);
       policy->set_aggregation(config.aggregate_planner);
       policy->set_shards(config.shards);
@@ -63,8 +51,7 @@ std::unique_ptr<SchedulerPolicy> make_policy(const PolicyConfig& config) {
     }
     case PolicyKind::kGreenMatchGreedy:
       return std::make_unique<GreenMatchPolicy>(
-          config.horizon_slots, /*greedy=*/true,
-          config.replan_every_slot, config.battery_aware,
+          config.horizon_slots, /*greedy=*/true, config.battery_aware,
           config.carbon_aware);
     case PolicyKind::kNightShift:
       return std::make_unique<NightShiftPolicy>(config.window_start_h,

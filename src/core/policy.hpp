@@ -127,6 +127,8 @@ enum class PolicyKind : std::uint8_t {
   kNightShift,      ///< static solar-hours window baseline
 };
 
+/// The config-file name of a policy kind; defined next to the
+/// policy.kind name list in config_io.cpp.
 const char* policy_kind_name(PolicyKind kind);
 
 struct PolicyConfig {
@@ -137,9 +139,6 @@ struct PolicyConfig {
   std::uint64_t seed = 2024;
   /// GreenMatch: planning horizon in slots.
   int horizon_slots = 24;
-  /// GreenMatch: re-plan every slot (true) or only when the pool or
-  /// forecast changed materially (false → cheaper, slightly stale).
-  bool replan_every_slot = true;
   /// GreenMatch: weight grid-covered units by the slot's forecast
   /// carbon intensity instead of a flat brown penalty — minimizes
   /// gCO2e rather than grid kWh.

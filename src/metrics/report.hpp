@@ -86,7 +86,6 @@ struct SchedulerReport {
   // these surface via the metrics registry, bench counters, and the
   // greenmatch_sim planner stanza (printed only when observability is
   // on). See docs/observability.md §solver telemetry.
-  std::uint64_t plan_cache_hits = 0;
   std::uint64_t warm_accepts = 0;
   std::uint64_t warm_rejects = 0;
   std::uint64_t solver_solves = 0;

@@ -169,16 +169,4 @@ void ScenarioConfig::validate() const {
   curtailment.validate();
 }
 
-const char* failure_process_name(FailureProcess process) {
-  switch (process) {
-    case FailureProcess::kNone:
-      return "none";
-    case FailureProcess::kPoisson:
-      return "poisson";
-    case FailureProcess::kWeibull:
-      return "weibull";
-  }
-  return "none";
-}
-
 }  // namespace gm::scenario

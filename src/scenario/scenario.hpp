@@ -107,6 +107,4 @@ struct ScenarioConfig {
   void validate() const;
 };
 
-const char* failure_process_name(FailureProcess process);
-
 }  // namespace gm::scenario

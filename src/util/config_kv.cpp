@@ -20,6 +20,15 @@ std::string trim(const std::string& s) {
 
 }  // namespace
 
+bool parse_bool(const std::string& text) {
+  std::string v = text;
+  std::transform(v.begin(), v.end(), v.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  throw InvalidArgument("not a boolean: '" + text + "'");
+}
+
 KeyValueConfig KeyValueConfig::parse(const std::string& text) {
   KeyValueConfig config;
   std::istringstream in(text);
@@ -92,13 +101,12 @@ std::optional<bool> KeyValueConfig::get_bool(
     const std::string& key) const {
   const auto raw = get_string(key);
   if (!raw) return std::nullopt;
-  std::string v = *raw;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw InvalidArgument("config key '" + key +
-                        "' is not a boolean: '" + *raw + "'");
+  try {
+    return parse_bool(*raw);
+  } catch (const InvalidArgument&) {
+    throw InvalidArgument("config key '" + key +
+                          "' is not a boolean: '" + *raw + "'");
+  }
 }
 
 std::string KeyValueConfig::get_string_or(

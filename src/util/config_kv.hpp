@@ -17,6 +17,10 @@
 
 namespace gm {
 
+/// Parses a boolean spelled true/false, yes/no, on/off or 1/0 (any
+/// case); throws InvalidArgument otherwise.
+bool parse_bool(const std::string& text);
+
 class KeyValueConfig {
  public:
   KeyValueConfig() = default;

@@ -1,6 +1,7 @@
 #include "util/csv.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -135,15 +136,21 @@ std::vector<std::vector<std::string>> read_csv_file(const std::string& path) {
 }
 
 double csv_to_double(const std::string& field) {
+  std::size_t pos = 0;
+  double v = 0.0;
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(field, &pos);
-    GM_CHECK(pos == field.size(), "trailing garbage in numeric CSV field '"
-                                      << field << "'");
-    return v;
+    v = std::stod(field, &pos);
   } catch (const std::invalid_argument&) {
-    throw InvalidArgument("non-numeric CSV field: '" + field + "'");
+    throw InvalidArgument("not a number: '" + field + "'");
+  } catch (const std::out_of_range&) {
+    throw InvalidArgument("number out of range: '" + field + "'");
   }
+  if (pos != field.size())
+    throw InvalidArgument("trailing garbage after number: '" + field +
+                          "'");
+  if (!std::isfinite(v))
+    throw InvalidArgument("not a finite number: '" + field + "'");
+  return v;
 }
 
 std::int64_t csv_to_int(const std::string& field) {

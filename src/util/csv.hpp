@@ -39,7 +39,9 @@ std::vector<std::vector<std::string>> parse_csv(const std::string& text);
 /// Reads and parses a CSV file. Throws gm::RuntimeError if unreadable.
 std::vector<std::vector<std::string>> read_csv_file(const std::string& path);
 
-/// Strict numeric conversions for parsed fields (throw on garbage).
+/// Strict numeric conversions for parsed fields. Both throw
+/// InvalidArgument on garbage; csv_to_double also on values outside
+/// double's range and on inf/nan.
 double csv_to_double(const std::string& field);
 std::int64_t csv_to_int(const std::string& field);
 

@@ -74,6 +74,7 @@ WorkloadSpec WorkloadSpec::canonical(int duration_days,
   WorkloadSpec spec;
   spec.duration_days = duration_days;
   spec.seed = seed;
+  spec.preset = "canonical";
   spec.task_classes = {scrub_class(), repair_class(), backup_class(),
                        rebalance_class(), compaction_class()};
   spec.validate();
@@ -83,6 +84,7 @@ WorkloadSpec WorkloadSpec::canonical(int duration_days,
 WorkloadSpec WorkloadSpec::read_heavy(int duration_days,
                                       std::uint64_t seed) {
   WorkloadSpec spec = canonical(duration_days, seed);
+  spec.preset = "read-heavy";
   spec.foreground.base_rate_per_s = 10.0;
   spec.foreground.read_fraction = 0.92;
   // Halve the background volume: foreground dominates.
@@ -94,6 +96,7 @@ WorkloadSpec WorkloadSpec::read_heavy(int duration_days,
 WorkloadSpec WorkloadSpec::backup_heavy(int duration_days,
                                         std::uint64_t seed) {
   WorkloadSpec spec = canonical(duration_days, seed);
+  spec.preset = "backup-heavy";
   spec.foreground.base_rate_per_s = 2.0;
   for (auto& t : spec.task_classes) {
     if (t.type == storage::TaskType::kBackup ||

@@ -7,6 +7,7 @@
 // skewed object popularity — are all first-class parameters.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "storage/types.hpp"
@@ -53,6 +54,9 @@ struct WorkloadSpec {
   /// raising it floods the planner's pending pool without touching
   /// the per-class mix ratios.
   double task_scale = 1.0;
+  /// Name of the preset that built this spec, carried so config_echo /
+  /// run manifests can state which workload.preset reproduces it.
+  std::string preset = "canonical";
   ForegroundSpec foreground;
   std::vector<TaskClassSpec> task_classes;
 

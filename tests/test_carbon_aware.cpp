@@ -62,11 +62,11 @@ TEST(CarbonAware, DefersBrownRunIntoCleanHour) {
                                500.0, 500.0, 500.0, 500.0};
   ctx.pending.push_back(task);
 
-  GreenMatchPolicy plain(8, false, true, false, false);
+  GreenMatchPolicy plain(8, false, false, false);
   plain.initialize(test_facts());
   EXPECT_EQ(plain.decide(ctx).run_tasks.size(), 1u);
 
-  GreenMatchPolicy carbon(8, false, true, false, true);
+  GreenMatchPolicy carbon(8, false, false, true);
   carbon.initialize(test_facts());
   EXPECT_TRUE(carbon.decide(ctx).run_tasks.empty());
 }
@@ -80,7 +80,7 @@ TEST(CarbonAware, NoCarbonDataFallsBackToFlatCost) {
 
   SlotContext ctx = dark_ctx(8);  // no carbon vector
   ctx.pending.push_back(task);
-  GreenMatchPolicy carbon(8, false, true, false, true);
+  GreenMatchPolicy carbon(8, false, false, true);
   carbon.initialize(test_facts());
   // Without data it behaves like the plain matcher: runs now.
   EXPECT_EQ(carbon.decide(ctx).run_tasks.size(), 1u);
@@ -99,7 +99,7 @@ TEST(CarbonAware, GreenStillBeatsCleanBrown) {
   ctx.grid_carbon_g_per_kwh = {500.0, 100.0, 100.0, 100.0,
                                100.0, 100.0, 100.0, 100.0};
   ctx.pending.push_back(task);
-  GreenMatchPolicy carbon(8, false, true, false, true);
+  GreenMatchPolicy carbon(8, false, false, true);
   carbon.initialize(test_facts());
   EXPECT_EQ(carbon.decide(ctx).run_tasks.size(), 1u);
 }

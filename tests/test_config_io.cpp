@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <optional>
+#include <sstream>
+
 #include "core/config_io.hpp"
 #include "util/assert.hpp"
 #include "util/config_kv.hpp"
@@ -47,6 +53,20 @@ TEST(KeyValueConfig, TypedGettersRejectGarbage) {
   EXPECT_THROW(kv.get_int("n"), InvalidArgument);
   EXPECT_THROW(kv.get_double("n"), InvalidArgument);
   EXPECT_THROW(kv.get_bool("b"), InvalidArgument);
+}
+
+// Malformed config text: every case is a typed error, none a crash.
+TEST(KeyValueConfig, MalformedTextGivesTypedErrors) {
+  for (const char* text :
+       {"no equals sign\n", "= value\n", "  =  \n", "a=1\na=2\n",
+        "a = 1\n  a=3  \n", "# comment\nbare\n", "a=1\r\nb\r\n",
+        "\t=\t1\n"})
+    EXPECT_THROW(KeyValueConfig::parse(text), InvalidArgument) << text;
+  // Tolerated: no text, comments only, CRLF endings, '=' in a value.
+  EXPECT_EQ(KeyValueConfig::parse("").size(), 0u);
+  EXPECT_EQ(KeyValueConfig::parse("# a\n\n   # b\n").size(), 0u);
+  EXPECT_EQ(KeyValueConfig::parse("a = 1\r\n").get_int("a"), 1);
+  EXPECT_EQ(KeyValueConfig::parse("a = b = c\n").get_string("a"), "b = c");
 }
 
 TEST(KeyValueConfig, BoolSpellings) {
@@ -191,8 +211,15 @@ TEST(ConfigIo, HelpMentionsEveryKeyFamily) {
   for (const char* family :
        {"cluster.", "workload.", "solar.", "wind.", "battery.",
         "policy.", "sim.", "forecast.", "grid.", "arrivals.",
-        "admission."})
+        "admission.", "failures.", "scenario.", "scheduler."})
     EXPECT_NE(help.find(family), std::string::npos) << family;
+  // Every key has its own line, and every choice key lists its names.
+  for (const auto& key : core::config_keys()) {
+    EXPECT_NE(help.find("  " + key.name + " "), std::string::npos)
+        << key.name;
+    for (const auto& choice : key.choices)
+      EXPECT_NE(help.find(choice), std::string::npos) << key.name;
+  }
 }
 
 // ----------------------------------------- echo / re-apply regressions
@@ -206,6 +233,234 @@ std::string echoed(const core::ExperimentConfig& config,
   return {};
 }
 }  // namespace
+
+std::optional<std::string> echo_value(const core::ExperimentConfig& config,
+                                      const std::string& key) {
+  for (const auto& [k, v] : core::config_echo(config))
+    if (k == key) return v;
+  return std::nullopt;
+}
+
+/// echo -> apply_config(canonical) -> echo.
+std::vector<std::pair<std::string, std::string>> replayed_echo(
+    const core::ExperimentConfig& config) {
+  auto replay = core::ExperimentConfig::canonical();
+  KeyValueConfig kv;
+  for (const auto& [k, v] : core::config_echo(config)) kv.set(k, v);
+  core::apply_config(replay, kv);
+  return core::config_echo(replay);
+}
+
+std::string echo_style(double v) {
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << v;
+  return os.str();
+}
+
+/// Non-default values for `key` that its type accepts, given the value
+/// it echoes now (nullopt when it is not echoed). Text keys have no
+/// generic domain, so they take a sample.
+std::vector<std::string> candidate_values(
+    const core::ConfigKey& key, const std::optional<std::string>& now) {
+  using core::KeyType;
+  switch (key.type) {
+    case KeyType::kInteger: {
+      const long long v = now ? std::stoll(*now) : 0;
+      return {std::to_string(v + 1), std::to_string(v * 2), "1", "2"};
+    }
+    case KeyType::kNumber: {
+      const double v = now ? std::stod(*now) : 0.0;
+      return {echo_style(v * 0.5), echo_style(v + 0.5), echo_style(v * 2),
+              "0.5", "1", "2"};
+    }
+    case KeyType::kBool:
+      return {"true", "false"};
+    case KeyType::kChoice:
+      return key.choices;
+    case KeyType::kText: {
+      const std::map<std::string, std::string> samples = {
+          {"solar.trace_csv", "solar_trace.csv"},
+          {"failures.events", "3@7200@10800;5@9000@0"}};
+      const auto it = samples.find(key.name);
+      if (it == samples.end()) {
+        ADD_FAILURE() << "no sample value for text key " << key.name;
+        return {};
+      }
+      return {it->second};
+    }
+  }
+  return {};
+}
+
+// Loops over the key table: each key applies a non-default value its
+// type accepts, echoes exactly that value, and the echo replays to a
+// fixed point. Keys echoed only in open-system mode are tested with
+// arrivals.enabled set.
+TEST(ConfigIo, EveryKeyAppliesEchoesAndReplays) {
+  const auto canonical = core::ExperimentConfig::canonical();
+  auto open_system = canonical;
+  core::apply_config(open_system,
+                     KeyValueConfig::parse("arrivals.enabled = true\n"));
+  const std::string help = core::config_keys_help();
+  ASSERT_GE(core::config_keys().size(), 71u);  // never vacuous
+  for (const auto& key : core::config_keys()) {
+    SCOPED_TRACE(key.name);
+    EXPECT_NE(help.find(key.name), std::string::npos);
+    const bool needs_open_system = !echo_value(canonical, key.name) &&
+                                   echo_value(open_system, key.name) &&
+                                   key.name != "arrivals.enabled";
+    const auto& base = needs_open_system ? open_system : canonical;
+    const auto before = echo_value(base, key.name);
+
+    std::optional<core::ExperimentConfig> applied;
+    std::string value;
+    for (const auto& candidate : candidate_values(key, before)) {
+      if (candidate == before) continue;
+      auto config = base;
+      KeyValueConfig kv;
+      kv.set(key.name, candidate);
+      try {
+        core::apply_config(config, kv);
+      } catch (const InvalidArgument&) {
+        continue;  // valid for the type, but validate() rejects it
+      }
+      if (echo_value(config, key.name) == candidate) {
+        applied = config;
+        value = candidate;
+        break;
+      }
+    }
+    ASSERT_TRUE(applied.has_value()) << "no non-default value applied";
+    EXPECT_NE(core::config_echo(*applied), core::config_echo(base))
+        << value;
+    EXPECT_EQ(replayed_echo(*applied), core::config_echo(*applied))
+        << value;
+  }
+}
+
+// Regression: workload.preset was applied but never echoed, so the
+// manifest of a read-heavy run replayed the canonical mix.
+TEST(ConfigIo, EchoReplaysWorkloadPreset) {
+  for (const char* preset : {"read-heavy", "backup-heavy"}) {
+    SCOPED_TRACE(preset);
+    auto config = core::ExperimentConfig::canonical();
+    core::apply_config(config, KeyValueConfig::parse(
+        std::string("workload.preset = ") + preset +
+        "\nworkload.days = 1\n"));
+    EXPECT_EQ(echoed(config, "workload.preset"), preset);
+
+    auto replay = core::ExperimentConfig::canonical();
+    KeyValueConfig kv;
+    for (const auto& [k, v] : core::config_echo(config)) kv.set(k, v);
+    core::apply_config(replay, kv);
+    const auto& want = config.workload;
+    const auto& got = replay.workload;
+    EXPECT_DOUBLE_EQ(got.foreground.read_fraction,
+                     want.foreground.read_fraction);
+    EXPECT_DOUBLE_EQ(got.foreground.base_rate_per_s,
+                     want.foreground.base_rate_per_s);
+    ASSERT_EQ(got.task_classes.size(), want.task_classes.size());
+    for (std::size_t i = 0; i < want.task_classes.size(); ++i)
+      EXPECT_DOUBLE_EQ(got.task_classes[i].mean_per_day,
+                       want.task_classes[i].mean_per_day);
+    EXPECT_EQ(got.fingerprint(), want.fingerprint());
+  }
+  // A preset chosen through the C++ API is echoed too; the canonical
+  // one is left out, so canonical echoes are unchanged.
+  auto config = core::ExperimentConfig::canonical();
+  config.workload = workload::WorkloadSpec::backup_heavy(2, 5);
+  EXPECT_EQ(echoed(config, "workload.preset"), "backup-heavy");
+  EXPECT_FALSE(echo_value(core::ExperimentConfig::canonical(),
+                          "workload.preset"));
+}
+
+/// Applies one `key = value` line to a canonical config and expects an
+/// InvalidArgument whose message names the key.
+void expect_rejected(const std::string& key, const std::string& value) {
+  auto config = core::ExperimentConfig::canonical();
+  KeyValueConfig kv;
+  kv.set(key, value);
+  try {
+    core::apply_config(config, kv);
+    ADD_FAILURE() << key << " = " << value << " was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+              std::string::npos)
+        << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << key << " = " << value << ": untyped error "
+                  << e.what();
+  }
+}
+
+// Regression: integer keys were read as int64 and cast, so
+// cluster.racks=4294967300 ran as 4 racks, policy.horizon=4294967320 as
+// 24, and workload.seed=-1 ran as 2^64-1 but could not be re-read.
+TEST(ConfigIo, IntegerKeysRejectValuesOutsideTheirType) {
+  expect_rejected("cluster.racks", "4294967300");
+  expect_rejected("policy.horizon", "4294967320");
+  expect_rejected("cluster.groups", "-1");
+  expect_rejected("cluster.groups", "4294967296");
+  expect_rejected("sim.slot_seconds", "9223372036854775808");
+  expect_rejected("workload.seed", "-1");
+  expect_rejected("workload.seed", "18446744073709551616");
+  expect_rejected("scenario.curtail_seed", "-7");
+  expect_rejected("failures.events", "4294967296@0@0");
+}
+
+TEST(ConfigIo, SeedKeysTakeTheWholeUint64Range) {
+  auto config = core::ExperimentConfig::canonical();
+  core::apply_config(config, KeyValueConfig::parse(
+      "workload.seed = 18446744073709551615\n"
+      "forecast.seed = 0\n"));
+  EXPECT_EQ(config.workload.seed,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(echoed(config, "workload.seed"), "18446744073709551615");
+  EXPECT_EQ(echoed(config, "forecast.seed"), "0");
+  EXPECT_EQ(replayed_echo(config), core::config_echo(config));
+}
+
+// Regression: 1e999 escaped as std::out_of_range ("error: stod") and
+// inf/nan were accepted; workload.foreground_rate=inf never finished.
+TEST(ConfigIo, NumberKeysRejectOverflowAndNonFinite) {
+  expect_rejected("solar.panel_area_m2", "1e999");
+  expect_rejected("workload.foreground_rate", "inf");
+  expect_rejected("workload.foreground_rate", "nan");
+  expect_rejected("workload.task_scale", "-inf");
+  expect_rejected("battery.kwh", "1e999");
+  expect_rejected("wind.rated_kw", "nan");
+}
+
+// Every key, fed values its type cannot hold, fails with a typed error
+// that names the key; text keys fail or apply, never crash.
+TEST(ConfigIo, MalformedValuesGiveTypedErrors) {
+  const std::vector<std::string> never_valid = {
+      "", "x", "1.5.2", "--1", "nan", "inf", "-inf", "1e999", "@@",
+      "1;2", "true1", "\x01"};
+  const std::map<core::KeyType, std::vector<std::string>> also_invalid = {
+      {core::KeyType::kInteger,
+       {"1.5", "1e3", "0x10", " 1", "18446744073709551616"}},
+      {core::KeyType::kBool, {"2", "yes please", "truee"}},
+      {core::KeyType::kChoice, {"ASAP!", "slot ", "li,la"}},
+  };
+  for (const auto& key : core::config_keys()) {
+    if (key.type == core::KeyType::kText) continue;
+    for (const auto& value : never_valid) expect_rejected(key.name, value);
+    if (const auto it = also_invalid.find(key.type);
+        it != also_invalid.end())
+      for (const auto& value : it->second) expect_rejected(key.name, value);
+  }
+  for (const char* events :
+       {"3@7200", "x@1@2", "1@2@3@4", "-1@0@0", "1@@2", "1@2@", "@@"})
+    expect_rejected("failures.events", events);
+  for (const char* path : {"", "x", "\x01", "@@"}) {
+    auto config = core::ExperimentConfig::canonical();
+    KeyValueConfig kv;
+    kv.set("solar.trace_csv", path);
+    EXPECT_NO_THROW(core::apply_config(config, kv)) << path;
+  }
+}
 
 // Regression: apply_config used to default battery.technology to "li"
 // whenever the current technology wasn't lead-acid, so re-applying an

@@ -194,7 +194,7 @@ TEST(Opportunistic, AdmitLotteryMatchesFraction) {
 class GreenMatchBothVariants : public ::testing::TestWithParam<bool> {
  protected:
   GreenMatchPolicy make() const {
-    return GreenMatchPolicy(8, GetParam(), true);
+    return GreenMatchPolicy(8, GetParam());
   }
 };
 
@@ -264,7 +264,7 @@ TEST(GreenMatch, FlowBeatsOrMatchesGreedyOnBrownCost) {
   // worse green placement than the heuristic. We proxy "brown cost"
   // by how many of the chosen-now tasks exceed the current green
   // budget when the current slot is dark but later slots are green.
-  GreenMatchPolicy flow(8, false, true), greedy(8, true, true);
+  GreenMatchPolicy flow(8, false), greedy(8, true);
   flow.initialize(test_facts());
   greedy.initialize(test_facts());
   SlotContext ctx = base_ctx();

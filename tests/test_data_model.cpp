@@ -137,38 +137,5 @@ TEST(SolarTrace, MissingFileThrows) {
   EXPECT_THROW(core::SimulationEngine{config}, RuntimeError);
 }
 
-// --------------------------------------------------- plan cache
-
-TEST(PlanCache, CachedModeMatchesReplanOnBrownAndMisses) {
-  auto base = [] {
-    core::ExperimentConfig config;
-    config.cluster = tiny_cluster();
-    config.workload = workload::WorkloadSpec::canonical(3, 17);
-    config.workload.foreground.base_rate_per_s = 0.3;
-    for (auto& c : config.workload.task_classes) c.mean_per_day *= 0.4;
-    config.solar.horizon_days = 8;
-    config.panel_area_m2 = 60.0;
-    config.battery = energy::BatteryConfig::lithium_ion(kwh_to_j(10));
-    config.policy.kind = core::PolicyKind::kGreenMatch;
-    config.policy.horizon_slots = 12;
-    return config;
-  };
-  auto replan_config = base();
-  auto cached_config = base();
-  cached_config.policy.replan_every_slot = false;
-  const auto replan = core::run_experiment(replan_config).result;
-  const auto cached = core::run_experiment(cached_config).result;
-
-  EXPECT_EQ(cached.qos.deadline_misses, 0u);
-  EXPECT_EQ(cached.qos.tasks_completed, cached.qos.tasks_total);
-  // Staleness may cost a little brown but not much.
-  EXPECT_LE(cached.energy.brown_j, replan.energy.brown_j * 1.10);
-  // And it must save planner work: slots served from the cached plan
-  // skip the solve. Counted, not timed, so the check is deterministic.
-  EXPECT_GT(cached.scheduler.plan_cache_hits, 0u);
-  EXPECT_LT(cached.scheduler.solver_solves,
-            replan.scheduler.solver_solves);
-}
-
 }  // namespace
 }  // namespace gm

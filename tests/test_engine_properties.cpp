@@ -49,7 +49,9 @@ ExperimentConfig random_config(std::uint64_t seed) {
   config.policy.kind = kinds[rng.uniform_u64(5)];
   config.policy.deferral_fraction = rng.uniform(0.0, 1.0);
   config.policy.horizon_slots = 6 + static_cast<int>(rng.uniform_u64(18));
-  config.policy.replan_every_slot = rng.bernoulli(0.7);
+  // Formerly the plan-cache switch; the draw is kept so every later
+  // field of each generated config stays what it was.
+  (void)rng.bernoulli(0.7);
   config.policy.carbon_aware = rng.bernoulli(0.3);
   config.policy.battery_aware = rng.bernoulli(0.3);
   config.min_dwell_slots = static_cast<int>(rng.uniform_u64(4));

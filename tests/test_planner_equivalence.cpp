@@ -124,8 +124,7 @@ SlotDecision plan_once(const SlotContext& ctx, const ClusterFacts& facts,
                        bool aggregate, bool battery, bool carbon,
                        GreenMatchPolicy::PlanStats* stats,
                        bool replan = false) {
-  GreenMatchPolicy policy(24, /*greedy=*/false,
-                          /*replan_every_slot=*/true, battery, carbon);
+  GreenMatchPolicy policy(24, /*greedy=*/false, battery, carbon);
   policy.set_aggregation(aggregate);
   policy.initialize(facts);
   if (replan) policy.decide(ctx);
@@ -237,7 +236,7 @@ TEST(PlannerWarmStart, SequenceMatchesColdSolves) {
   const auto facts = test_facts(16);
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     Rng rng(seed * 101);
-    GreenMatchPolicy warm_policy(24, false, true, false, false);
+    GreenMatchPolicy warm_policy(24, false, false, false);
     warm_policy.initialize(facts);
     SlotContext ctx = random_ctx(rng, 24, /*duplicates=*/true,
                                  /*battery=*/false);
@@ -311,7 +310,7 @@ TEST(PlannerIncremental, SequenceMatchesColdSolves) {
   const auto facts = test_facts(16);
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     Rng rng(seed * 131);
-    GreenMatchPolicy policy(24, false, true, false, false);
+    GreenMatchPolicy policy(24, false, false, false);
     policy.initialize(facts);
     SlotContext ctx = random_ctx(rng, 24, /*duplicates=*/true,
                                  /*battery=*/false);
@@ -336,7 +335,7 @@ TEST(PlannerIncremental, ClassDisappearsBetweenSlots) {
     SlotContext ctx = random_ctx(rng, 12, /*duplicates=*/true,
                                  /*battery=*/false);
     if (ctx.pending.size() < 8) continue;
-    GreenMatchPolicy policy(24, false, true, false, false);
+    GreenMatchPolicy policy(24, false, false, false);
     policy.initialize(facts);
     expect_matches_cold(policy, ctx, facts, false, "before removal");
 
@@ -362,7 +361,7 @@ TEST(PlannerIncremental, SupplyEdgeFlipsToZeroIsPatched) {
     SlotContext ctx = random_ctx(rng, 12, /*duplicates=*/true,
                                  /*battery=*/false);
     if (ctx.pending.empty()) continue;
-    GreenMatchPolicy policy(24, false, true, false, false);
+    GreenMatchPolicy policy(24, false, false, false);
     policy.initialize(facts);
     expect_matches_cold(policy, ctx, facts, false, "with supply");
 
@@ -384,7 +383,7 @@ TEST(PlannerIncremental, BatteryEdgeRetargetBetweenSlots) {
     SlotContext ctx = random_ctx(rng, 12, /*duplicates=*/true,
                                  /*battery=*/true);
     if (ctx.pending.empty()) continue;
-    GreenMatchPolicy policy(24, false, true, /*battery=*/true, false);
+    GreenMatchPolicy policy(24, false, /*battery=*/true, false);
     policy.initialize(facts);
     expect_matches_cold(policy, ctx, facts, true, "baseline");
 
@@ -416,8 +415,8 @@ TEST(PlannerSharding, SingleShardMatchesFlatExactly) {
   const auto facts = test_facts(16);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed * 977);
-    GreenMatchPolicy flat(24, false, true, false, false);
-    GreenMatchPolicy sharded(24, false, true, false, false);
+    GreenMatchPolicy flat(24, false, false, false);
+    GreenMatchPolicy sharded(24, false, false, false);
     sharded.set_shards(1);
     flat.initialize(facts);
     sharded.initialize(facts);
@@ -516,7 +515,7 @@ TEST(PlannerSharding, DecomposableRegimesMatchFlatObjective) {
       const auto flat = plan_flat(ctx, facts, &flat_stats);
 
       for (const int shards : {2, 4, 8}) {
-        GreenMatchPolicy policy(24, false, true, false, false);
+        GreenMatchPolicy policy(24, false, false, false);
         policy.set_shards(shards);
         policy.initialize(facts);
         const auto decision = policy.decide(ctx);
@@ -571,7 +570,7 @@ TEST(PlannerSharding, ReconciliationReclaimsCrossShardGreen) {
     ctx.pending.push_back(p);
   }
 
-  GreenMatchPolicy policy(24, false, true, false, false);
+  GreenMatchPolicy policy(24, false, false, false);
   policy.set_shards(kShards);
   policy.initialize(facts);
   const auto decision = policy.decide(ctx);
@@ -593,7 +592,7 @@ TEST(PlannerSharding, ContendedSequenceStaysValid) {
   const auto facts = test_facts(24);
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed * 2203);
-    GreenMatchPolicy policy(24, false, true, false, false);
+    GreenMatchPolicy policy(24, false, false, false);
     policy.set_shards(4);
     policy.initialize(facts);
     SlotContext ctx = random_ctx(rng, 24, /*duplicates=*/true,

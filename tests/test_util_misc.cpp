@@ -90,6 +90,17 @@ TEST(Csv, NumericConversionRejectsGarbage) {
   EXPECT_EQ(csv_to_int("-17"), -17);
 }
 
+// Regression: "1e999" let std::out_of_range escape (the CLI printed
+// "error: stod"), and "inf"/"nan" parsed, so an infinite request rate
+// reached the workload generator and the run never ended.
+TEST(Csv, DoubleConversionRejectsOverflowAndNonFinite) {
+  for (const char* field : {"1e999", "-1e999", "inf", "-inf", "INF",
+                            "infinity", "nan", "NaN", "-nan"})
+    EXPECT_THROW(csv_to_double(field), InvalidArgument) << field;
+  EXPECT_DOUBLE_EQ(csv_to_double("1e300"), 1e300);
+  EXPECT_DOUBLE_EQ(csv_to_double("-2.5"), -2.5);
+}
+
 TEST(Csv, MissingFileThrows) {
   EXPECT_THROW(read_csv_file("/nonexistent/path.csv"), RuntimeError);
 }

@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
         std::ostream& out = emit_slots ? std::cerr : std::cout;
         out << "\nplanner telemetry:\n"
             << "  solves: " << s.solver_solves
-            << "  cache hits: " << s.plan_cache_hits
             << "  warm accepts: " << s.warm_accepts
             << "  warm rejects: " << s.warm_rejects << '\n'
             << "  dijkstra runs: " << s.solver_dijkstra_runs
